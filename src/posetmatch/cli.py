@@ -115,16 +115,16 @@ def _run_occur(args, out):
 
 def _run_gen(args, out):
     if args.kind == "poset":
-        if len(args.rest) != 2:
-            raise UsageError("gen poset <n> <edge-prob> <seed>")
+        if len(args.rest) != 2 or args.n < 0:
+            raise UsageError("gen poset <n> <edge-prob> <seed>, with n >= 0")
         prob, seed = float(args.rest[0]), int(args.rest[1])
         rng = random.Random(seed)
         pairs = [(a, b) for a in range(1, args.n + 1) for b in range(a + 1, args.n + 1)
                  if rng.random() < prob]
         out.write(core.format_poset(core.poset_from_relations(args.n, pairs)))
     else:
-        if len(args.rest) != 1:
-            raise UsageError("gen perm <n> <seed>")
+        if len(args.rest) != 1 or args.n < 1:
+            raise UsageError("gen perm <n> <seed>, with n >= 1")
         rng = random.Random(int(args.rest[0]))
         img = list(range(1, args.n + 1))
         rng.shuffle(img)

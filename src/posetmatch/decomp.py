@@ -9,8 +9,6 @@ the maximal proper strong modules partition the ground set.
 from dataclasses import dataclass, field
 from functools import cmp_to_key
 
-import networkx as nx
-
 from .core import Poset, poset_from_relations, restrict
 from .errors import ConstraintError, NotAModuleError, RangeError
 
@@ -214,31 +212,41 @@ def dilworth(P):
     """Minimum chain cover via maximum matching on the split graph.
 
     Matching a's copy to b's copy fuses a < b into a common chain; the
-    cover has n - |matching| chains, which is the width.
+    cover has n - |matching| chains, which is the width.  The matching
+    grows by one augmenting path per element, found by a depth-first
+    search with an explicit stack that tries successors lowest first, so
+    the cover depends on P alone.
     """
     n = P.n
-    graph = nx.Graph()
-    left = [("l", a) for a in range(1, n + 1)]
-    graph.add_nodes_from(left)
-    graph.add_nodes_from(("r", b) for b in range(1, n + 1))
-    for a, b in P.relations():
-        graph.add_edge(("l", a), ("r", b))
-    matching = nx.bipartite.hopcroft_karp_matching(graph, top_nodes=left)
-    succ = {}
-    has_pred = set()
-    for node, mate in matching.items():
-        if node[0] == "l":
-            succ[node[1]] = mate[1]
-            has_pred.add(mate[1])
+    succ = [-1] * n  # succ[a] = b: a's copy is matched to b's copy
+    pred = [-1] * n
+    for root in range(n):
+        visited = 0
+        path = [root]  # left copies on the alternating path
+        via = []  # via[i]: right copy leading from path[i] to path[i + 1]
+        while path:
+            free = P.up[path[-1]] & ~visited
+            if not free:
+                path.pop()
+                if via:
+                    via.pop()
+                continue
+            bit = free & -free
+            visited |= bit
+            b = bit.bit_length() - 1
+            via.append(b)
+            if pred[b] < 0:
+                for x, y in zip(path, via):
+                    succ[x], pred[y] = y, x
+                break
+            path.append(pred[b])
     chains = []
-    for start in range(1, n + 1):
-        if start in has_pred:
-            continue
-        seq = [start]
-        while seq[-1] in succ:
-            seq.append(succ[seq[-1]])
-        chains.append(tuple(seq))
-    chains.sort(key=lambda c: c[0])
+    for start in range(n):
+        if pred[start] < 0:
+            seq = [start]
+            while succ[seq[-1]] >= 0:
+                seq.append(succ[seq[-1]])
+            chains.append(tuple(x + 1 for x in seq))
     return ChainDecomposition(tuple(chains))
 
 

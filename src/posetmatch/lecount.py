@@ -170,7 +170,10 @@ def count_linear_extensions(P, node_budget=DEFAULT_NODE_BUDGET):
     shuffle factor: 1 for series nodes, the multinomial of child sizes for
     parallel nodes, and for prime nodes the extension count of the
     quotient with each element inflated to a chain of the child's size.
+    The empty poset has one (empty) extension.
     """
+    if P.n == 0:
+        return 1
 
     def walk(node):
         if node.kind == "leaf":

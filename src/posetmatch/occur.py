@@ -1,17 +1,17 @@
 """Occurrence enumeration and counting for every flavor.
 
-The workhorse is a pruned backtracking counter that assigns pattern
+One pruned backtracker does all the searching: it assigns pattern
 elements in increasing element order and intersects bitmask candidate
-sets; enumeration is a separate exhaustive pass kept for oracle use and
-for the --enumerate CLI path.
+sets.  Counting, enumeration (a leaf visitor that collects maps),
+automorphisms (induced injective self-occurrences) and permutation
+pattern matching (occurrences between dimension-2 posets) all run on it.
 """
 
 import time
-from itertools import product
 from math import comb
 
 from . import errors
-from .core import OccurrenceFlavor, OccurrenceMap, chain, is_occurrence
+from .core import OccurrenceFlavor, OccurrenceMap, poset_from_permutation
 
 DEFAULT_ENUM_BUDGET = 1_000_000
 
@@ -25,69 +25,32 @@ __all__ = [
 ]
 
 
-def automorphism_maps(P):
-    """All automorphisms of P as tuples (image of 1, ..., image of n).
+def _count_maps(P, Q, induced, injective, deadline=None, visit=None):
+    """Count occurrence maps by backtracking with bitmask candidate sets.
 
-    Backtracking over images; meant for pattern-sized posets.
+    Candidates are tried lowest element first, so leaves are reached in
+    lexicographic order of assignment vectors.  When visit is given, it
+    is called with the assignment at every leaf, and the leaf counts only
+    if it returns a true value.
     """
-    n = P.n
-    out = []
-    assignment = [0] * n
-    used = [False] * n
-
-    def extend(v):
-        if v == n:
-            out.append(tuple(assignment))
-            return
-        for w in range(n):
-            if used[w]:
-                continue
-            ok = True
-            for u in range(v):
-                a, b = assignment[u], w + 1
-                if P.less(u + 1, v + 1) != P.less(a, b) or P.less(v + 1, u + 1) != P.less(b, a):
-                    ok = False
-                    break
-            if ok:
-                assignment[v] = w + 1
-                used[w] = True
-                extend(v + 1)
-                used[w] = False
-        assignment[v] = 0
-
-    extend(0)
-    return out
-
-
-def enumerate_occurrences(P, Q, flavor, budget=DEFAULT_ENUM_BUDGET):
-    """All occurrence maps in lexicographic order of assignment vectors.
-
-    With flavor.unlabeled, only the lexicographically least member of each
-    orbit under precomposition with Aut(P) is emitted.  Raises
-    SizeLimitError when |Q|^|P| exceeds the budget.
-    """
-    if Q.n ** P.n > budget:
-        raise errors.SizeLimitError("|Q|^|P| = %d exceeds budget %d" % (Q.n ** P.n, budget))
-    auts = automorphism_maps(P) if flavor.unlabeled else None
-    out = []
-    for assignment in product(range(1, Q.n + 1), repeat=P.n):
-        if not is_occurrence(assignment, P, Q, flavor):
-            continue
-        if auts is not None:
-            orbit_min = min(tuple(assignment[a[v] - 1] for v in range(P.n)) for a in auts)
-            if assignment != orbit_min:
-                continue
-        out.append(OccurrenceMap(assignment))
-    return out
-
-
-def _count_maps(P, Q, induced, injective, deadline=None, leaf_filter=None):
-    """Count occurrence maps by backtracking with bitmask candidate sets."""
     k, n = P.n, Q.n
     full = (1 << n) - 1
     incomparable = None
     if induced:
         incomparable = [full & ~(Q.up[j] | Q.down[j]) | (1 << j) for j in range(n)]
+    # constraints[v]: (u, rows) for each earlier u; the image of v must lie
+    # in rows[image of u], the text elements related to it as v is to u
+    constraints = []
+    for v in range(k):
+        row = []
+        for u in range(v):
+            if P.less(u + 1, v + 1):
+                row.append((u, Q.up))
+            elif P.less(v + 1, u + 1):
+                row.append((u, Q.down))
+            elif induced:
+                row.append((u, incomparable))
+        constraints.append(row)
     assignment = [0] * k
     count = 0
     nodes = 0
@@ -98,26 +61,19 @@ def _count_maps(P, Q, induced, injective, deadline=None, leaf_filter=None):
         if deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline:
             raise errors.TimeoutError("occurrence count exceeded its deadline")
         if v == k:
-            if leaf_filter is None or leaf_filter(assignment):
+            if visit is None or visit(assignment):
                 count += 1
             return
         cand = full
-        for u in range(v):
-            img = assignment[u] - 1
-            if P.less(u + 1, v + 1):
-                cand &= Q.up[img]
-            elif P.less(v + 1, u + 1):
-                cand &= Q.down[img]
-            elif induced:
-                cand &= incomparable[img]
+        for u, rows in constraints[v]:
+            cand &= rows[assignment[u] - 1]
             if not cand:
                 return
         if injective:
             cand &= ~used
         while cand:
             bit = cand & -cand
-            j = bit.bit_length() - 1
-            assignment[v] = j + 1
+            assignment[v] = bit.bit_length()
             extend(v + 1, used | bit)
             cand &= cand - 1
         assignment[v] = 0
@@ -126,72 +82,71 @@ def _count_maps(P, Q, induced, injective, deadline=None, leaf_filter=None):
     return count
 
 
+def automorphism_maps(P):
+    """All automorphisms of P as tuples (image of 1, ..., image of n).
+
+    They are the induced injective occurrences of P in itself: an
+    injective self-map of a finite set is a bijection, and inducedness
+    makes it reflect the order as well as preserve it.  Returned in
+    lexicographic order.
+    """
+    out = []
+    _count_maps(P, P, True, True, visit=lambda assignment: out.append(tuple(assignment)))
+    return out
+
+
+def _is_orbit_minimum(P):
+    """Predicate on assignments: true iff the assignment is the
+    lexicographically least member of its orbit under precomposition
+    with Aut(P), so each unlabeled occurrence passes exactly once."""
+    perms = [[img - 1 for img in aut] for aut in automorphism_maps(P)]
+
+    def is_minimum(assignment):
+        tup = tuple(assignment)
+        return all(tuple(assignment[i] for i in perm) >= tup for perm in perms)
+
+    return is_minimum
+
+
+def enumerate_occurrences(P, Q, flavor, budget=DEFAULT_ENUM_BUDGET):
+    """All occurrence maps in lexicographic order of assignment vectors.
+
+    With flavor.unlabeled, only the lexicographically least member of each
+    orbit under precomposition with Aut(P) is emitted.  The budget bounds
+    the output: SizeLimitError is raised as soon as more than budget maps
+    would be returned.
+    """
+    keep = _is_orbit_minimum(P) if flavor.unlabeled else None
+    out = []
+
+    def collect(assignment):
+        if keep is None or keep(assignment):
+            if len(out) == budget:
+                raise errors.SizeLimitError(
+                    "occurrences of a %d-element pattern in a %d-element text exceed "
+                    "the enumeration budget of %d maps" % (P.n, Q.n, budget))
+            out.append(OccurrenceMap(tuple(assignment)))
+
+    _count_maps(P, Q, flavor.induced, flavor.injective, visit=collect)
+    return out
+
+
 def count_occurrences(P, Q, flavor, deadline=None):
     """Number of occurrences of P in Q of the given flavor.
 
     Labeled counts come straight from backtracking.  Unlabeled injective
     counts divide by |Aut(P)| (orbits of injective maps have exactly
-    |Aut(P)| members); unlabeled non-injective counts keep only canonical
-    orbit representatives, since those orbits can be smaller.
+    |Aut(P)| members); unlabeled non-injective counts keep only orbit
+    minima, since those orbits can be smaller.
     """
     if not flavor.unlabeled:
         return _count_maps(P, Q, flavor.induced, flavor.injective, deadline)
-    auts = automorphism_maps(P)
     if flavor.injective:
+        n_auts = len(automorphism_maps(P))
         labeled = _count_maps(P, Q, flavor.induced, True, deadline)
-        assert labeled % len(auts) == 0
-        return labeled // len(auts)
-
-    def is_canonical(assignment):
-        tup = tuple(assignment)
-        return all(tuple(assignment[a[v] - 1] for v in range(P.n)) >= tup for a in auts)
-
-    return _count_maps(P, Q, flavor.induced, False, deadline, leaf_filter=is_canonical)
-
-
-def _exact_pattern_matches(pat, txt):
-    """Index sets of txt whose pattern equals pat exactly (classical PPM)."""
-    k, n = len(pat), len(txt)
-    positions = [0] * k
-    count = 0
-
-    def extend(i, start):
-        nonlocal count
-        if i == k:
-            count += 1
-            return
-        for pos in range(start, n - (k - i) + 1):
-            ok = True
-            for j in range(i):
-                if (pat[j] < pat[i]) != (txt[positions[j]] < txt[pos]):
-                    ok = False
-                    break
-            if ok:
-                positions[i] = pos
-                extend(i + 1, pos + 1)
-
-    extend(0, 0)
-    return count
-
-
-def _iso_class_patterns(sigma):
-    """All permutations of the same length whose poset is isomorphic to
-    D(sigma).  Distinct patterns can share one poset up to isomorphism
-    (e.g. (2,3,1) and (3,1,2)), and index sets carrying any of them
-    support the same induced occurrences.
-    """
-    from itertools import permutations as iter_perms
-
-    from .core import Permutation
-    from .lecount import canonical_code
-
-    target = canonical_code(sigma)
-    out = []
-    for img in iter_perms(range(1, sigma.n + 1)):
-        rho = Permutation(img)
-        if canonical_code(rho) == target:
-            out.append(rho)
-    return out
+        assert labeled % n_auts == 0
+        return labeled // n_auts
+    return _count_maps(P, Q, flavor.induced, False, deadline, visit=_is_orbit_minimum(P))
 
 
 def match_permutation(sigma_P, sigma_Q, induced):
@@ -206,17 +161,7 @@ def match_permutation(sigma_P, sigma_Q, induced):
     coinversion-preserving injective maps, i.e. unlabeled non-induced
     injective occurrences of D(sigma_P) in D(sigma_Q).
     """
-    k, n = sigma_P.n, sigma_Q.n
-    if k > n:
-        return 0
-    if induced:
-        # each index set has exactly one pattern, so summing exact matches
-        # over the isomorphism class counts index sets once each
-        return sum(_exact_pattern_matches(rho.img, sigma_Q.img)
-                   for rho in _iso_class_patterns(sigma_P))
-    from .core import poset_from_permutation
-
-    flavor = OccurrenceFlavor(induced=False, injective=True, unlabeled=True)
+    flavor = OccurrenceFlavor(induced=induced, injective=True, unlabeled=True)
     return count_occurrences(poset_from_permutation(sigma_P), poset_from_permutation(sigma_Q), flavor)
 
 

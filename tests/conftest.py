@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from posetmatch import poset_from_relations
+from posetmatch import OccurrenceFlavor, is_occurrence, poset_from_relations
 
 
 def random_poset(rng, n, prob=None):
@@ -12,6 +13,30 @@ def random_poset(rng, n, prob=None):
     pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
              if rng.random() < prob]
     return poset_from_relations(n, pairs)
+
+
+def brute_automorphisms(P):
+    """Aut(P) by testing every bijection; independent of the library's search."""
+    flavor = OccurrenceFlavor(induced=True, injective=True)
+    return [perm for perm in itertools.permutations(range(1, P.n + 1))
+            if is_occurrence(perm, P, P, flavor)]
+
+
+def brute_occurrences(P, Q, flavor):
+    """Occurrence assignments by testing all |Q|^|P| maps, in lexicographic
+    order; for unlabeled flavors only the least member of each orbit under
+    precomposition with Aut(P)."""
+    auts = brute_automorphisms(P) if flavor.unlabeled else None
+    out = []
+    for assignment in itertools.product(range(1, Q.n + 1), repeat=P.n):
+        if not is_occurrence(assignment, P, Q, flavor):
+            continue
+        if auts is not None:
+            orbit = [tuple(assignment[a[v] - 1] for v in range(P.n)) for a in auts]
+            if assignment != min(orbit):
+                continue
+        out.append(assignment)
+    return out
 
 
 @pytest.fixture

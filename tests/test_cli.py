@@ -1,7 +1,13 @@
 """End-to-end tests for the command-line front end."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+from posetmatch import chain
+from posetmatch.core import format_poset
 from posetmatch.cli import run
 
 
@@ -41,6 +47,13 @@ def test_le_check(tmp_path):
     assert code == 0 and out == "5\n"
 
 
+def test_le_empty_poset_every_method(tmp_path):
+    path = write(tmp_path, "empty.poset", "p 0\n")
+    for method in ("auto", "downset", "recurse", "brute"):
+        code, out, _ = invoke(["le", path, "--method", method])
+        assert code == 0 and out == "1\n", method
+
+
 def test_le_brute_budget_exit_code(tmp_path):
     big = "p 10\n"
     path = write(tmp_path, "anti.poset", big)
@@ -65,6 +78,16 @@ def test_occur_enumerate(tmp_path):
                            "--injective", "--unlabeled", "--enumerate"])
     assert code == 0
     assert out.splitlines() == ["1->1 2->2", "1->1 2->3", "1->2 2->3"]
+
+
+def test_occur_enumerate_past_product_size(tmp_path):
+    # 12^6 candidate maps would exceed the enumeration budget; 924 occurrences do not
+    pat = write(tmp_path, "pat.poset", format_poset(chain(6)))
+    txt = write(tmp_path, "txt.poset", format_poset(chain(12)))
+    code, out, _ = invoke(["occur", "--pattern", pat, "--text", txt,
+                           "--induced", "--injective", "--enumerate"])
+    assert code == 0
+    assert len(out.splitlines()) == 924
 
 
 def test_occur_permutation_inputs(tmp_path):
@@ -105,6 +128,20 @@ def test_chains(tmp_path):
     lines = out.splitlines()
     assert len(lines) == 2
     assert sorted(int(x) for line in lines for x in line.split()) == [1, 2, 3, 4]
+
+
+def test_chains_independent_of_hash_seed(tmp_path):
+    _, text, _ = invoke(["gen", "poset", "30", "0.08", "7"])
+    path = write(tmp_path, "g.poset", text)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "posetmatch.cli", "chains", path],
+                              env=env, capture_output=True, text=True, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] != ""
 
 
 # --- sat verbs -----------------------------------------------------------------
@@ -156,6 +193,13 @@ def test_gen_perm_deterministic():
     code2, out2, _ = invoke(["gen", "perm", "5", "3"])
     assert code1 == code2 == 0 and out1 == out2
     assert sorted(int(x) for x in out1.split()) == [1, 2, 3, 4, 5]
+
+
+def test_gen_bad_size_is_usage_error():
+    for argv in (["gen", "poset", "-5", "0.5", "1"], ["gen", "perm", "0", "1"],
+                 ["gen", "perm", "-2", "1"]):
+        code, out, err = invoke(argv)
+        assert code == 1 and out == "" and "usage error" in err, argv
 
 
 def test_gen_roundtrip(tmp_path):

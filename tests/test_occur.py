@@ -12,6 +12,7 @@ from posetmatch import (
     count_occurrences,
     count_occurrences_in_chain,
     enumerate_occurrences,
+    is_occurrence,
     match_permutation,
     poset_from_permutation,
     poset_from_relations,
@@ -19,7 +20,7 @@ from posetmatch import (
 from posetmatch.errors import SizeError, SizeLimitError
 from posetmatch.occur import automorphism_maps
 
-from conftest import random_poset
+from conftest import brute_automorphisms, brute_occurrences, random_poset
 
 ALL_FLAVORS = [OccurrenceFlavor(bool(i), bool(j), bool(u))
                for i in (0, 1) for j in (0, 1) for u in (0, 1)]
@@ -55,12 +56,29 @@ def test_count_examples():
     assert count_occurrences(antichain(3), antichain(3), OccurrenceFlavor(True, True, True)) == 1
 
 
+def test_enumerate_budget_bounds_output_not_map_space():
+    # 12^6 (about 3.0M) candidate maps, but only C(12, 6) = 924 occurrences
+    occs = enumerate_occurrences(chain(6), chain(12), OccurrenceFlavor(True, True, False))
+    assert len(occs) == comb(12, 6) == 924
+    assert occs[0].assignment == (1, 2, 3, 4, 5, 6)
+    assert occs[-1].assignment == (7, 8, 9, 10, 11, 12)
+
+
 def test_count_matches_enumeration(rng):
     for _ in range(25):
         P = random_poset(rng, 3)
         Q = random_poset(rng, 5)
         for flavor in ALL_FLAVORS:
-            assert count_occurrences(P, Q, flavor) == len(enumerate_occurrences(P, Q, flavor))
+            oracle = brute_occurrences(P, Q, flavor)
+            occs = enumerate_occurrences(P, Q, flavor)
+            assert count_occurrences(P, Q, flavor) == len(occs) == len(oracle)
+            assert [o.assignment for o in occs] == oracle
+
+
+def test_automorphisms_match_brute(rng):
+    for _ in range(40):
+        P = random_poset(rng, rng.randint(1, 6))
+        assert automorphism_maps(P) == brute_automorphisms(P)
 
 
 def test_unlabeled_injective_is_labeled_over_aut(rng):
@@ -116,6 +134,14 @@ def test_match_agrees_with_occurrences(rng):
             for induced in (True, False):
                 expected = count_occurrences(P, Q, OccurrenceFlavor(induced, True, True))
                 assert match_permutation(sigma_p, sigma_q, induced) == expected
+            # index sets of Q some ordering of which is an induced occurrence
+            flavor = OccurrenceFlavor(induced=True, injective=True)
+            scan = sum(
+                1 for index_set in itertools.combinations(range(1, 7), P.n)
+                if any(is_occurrence(order, P, Q, flavor)
+                       for order in itertools.permutations(index_set))
+            )
+            assert match_permutation(sigma_p, sigma_q, True) == scan
 
 
 def test_chain_occurrences_examples(rng):
