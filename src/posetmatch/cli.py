@@ -5,6 +5,7 @@ timeout exceeded.  All output is deterministic for fixed inputs/seeds.
 """
 
 import argparse
+import math
 import random
 import sys
 
@@ -42,6 +43,14 @@ def _load_poset(path, as_permutation=False):
     return core.parse_poset(text)
 
 
+def _seconds(text):
+    """A positive, finite number of seconds."""
+    value = float(text)
+    if not (0 < value < math.inf):
+        raise argparse.ArgumentTypeError("expected a positive finite number of seconds, got %r" % text)
+    return value
+
+
 def build_parser():
     parser = Parser(prog="posetmatch")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -77,7 +86,7 @@ def build_parser():
     p = sub.add_parser("sat-verify", help="verify the reduction on a formula")
     p.add_argument("cnf")
     p.add_argument("--method", choices=["backtrack", "structured"], default="structured")
-    p.add_argument("--timeout", type=float, default=60.0)
+    p.add_argument("--timeout", type=_seconds, default=60.0)
 
     p = sub.add_parser("gen", help="generate seeded instances")
     p.add_argument("kind", choices=["poset", "perm"])
@@ -115,17 +124,25 @@ def _run_occur(args, out):
 
 def _run_gen(args, out):
     if args.kind == "poset":
+        usage = "gen poset <n> <edge-prob> <seed>, with n >= 0"
         if len(args.rest) != 2 or args.n < 0:
-            raise UsageError("gen poset <n> <edge-prob> <seed>, with n >= 0")
-        prob, seed = float(args.rest[0]), int(args.rest[1])
+            raise UsageError(usage)
+        try:
+            prob, seed = float(args.rest[0]), int(args.rest[1])
+        except ValueError:
+            raise UsageError(usage) from None
         rng = random.Random(seed)
         pairs = [(a, b) for a in range(1, args.n + 1) for b in range(a + 1, args.n + 1)
                  if rng.random() < prob]
         out.write(core.format_poset(core.poset_from_relations(args.n, pairs)))
     else:
+        usage = "gen perm <n> <seed>, with n >= 1"
         if len(args.rest) != 1 or args.n < 1:
-            raise UsageError("gen perm <n> <seed>, with n >= 1")
-        rng = random.Random(int(args.rest[0]))
+            raise UsageError(usage)
+        try:
+            rng = random.Random(int(args.rest[0]))
+        except ValueError:
+            raise UsageError(usage) from None
         img = list(range(1, args.n + 1))
         rng.shuffle(img)
         out.write(core.format_permutation(core.Permutation(img)))

@@ -7,7 +7,6 @@ the maximal proper strong modules partition the ground set.
 """
 
 from dataclasses import dataclass, field
-from functools import cmp_to_key
 
 from .core import Poset, poset_from_relations, restrict
 from .errors import ConstraintError, NotAModuleError, RangeError
@@ -42,9 +41,12 @@ class GallaiTree:
     quotient: Poset = field(default=None, compare=False)
 
     def nodes(self):
-        yield self
-        for child in self.children:
-            yield from child.nodes()
+        """Every node of the subtree in pre-order, children left to right."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
 
 @dataclass(frozen=True)
@@ -71,11 +73,10 @@ def is_module(P, T):
     return True
 
 
-def _components(members, neighbors):
-    """Connected components of a graph given by a neighbor-mask function."""
-    remaining = 0
-    for x in members:
-        remaining |= 1 << x
+def _components(scope, neighbors):
+    """Connected components of a graph on the scope bitmask, given by a
+    neighbor-mask function, in order of their least elements."""
+    remaining = scope
     comps = []
     while remaining:
         start = (remaining & -remaining)
@@ -126,32 +127,23 @@ def _min_module(P, seed_mask, scope_mask):
     return T
 
 
-def _gallai(P, members):
-    if len(members) == 1:
-        return GallaiTree("leaf", (members[0] + 1,))
-    scope = 0
-    for x in members:
-        scope |= 1 << x
-
-    comp_neighbors = lambda v: (P.up[v] | P.down[v]) & scope
-    comps = _components(members, comp_neighbors)
+def _split(P, scope):
+    """Gallai's trichotomy on a nonempty bitmask: the node kind, the
+    children's bitmasks in GallaiTree child order, and the quotient on
+    their least elements for prime nodes."""
+    if scope & (scope - 1) == 0:
+        return "leaf", [], None
+    comps = _components(scope, lambda v: (P.up[v] | P.down[v]) & scope)
     if len(comps) > 1:
-        comps.sort(key=lambda m: (m & -m))
-        children = tuple(_gallai(P, [e - 1 for e in _mask_to_elems(m)]) for m in comps)
-        return GallaiTree("parallel", tuple(e + 1 for e in members), children)
+        return "parallel", comps, None
 
-    inc_neighbors = lambda v: scope & ~(P.up[v] | P.down[v] | (1 << v))
-    cocomps = _components(members, inc_neighbors)
+    cocomps = _components(scope, lambda v: scope & ~(P.up[v] | P.down[v] | (1 << v)))
     if len(cocomps) > 1:
-        def below(a, b):
-            # across co-components every pair is comparable
-            x = (a & -a).bit_length()
-            y = (b & -b).bit_length()
-            return -1 if P.less(x, y) else 1
-
-        cocomps.sort(key=cmp_to_key(below))
-        children = tuple(_gallai(P, [e - 1 for e in _mask_to_elems(m)]) for m in cocomps)
-        return GallaiTree("series", tuple(e + 1 for e in members), children)
+        # across co-components every pair is comparable, so the more
+        # elements lie below a co-component's least element, the higher
+        # the co-component sits
+        cocomps.sort(key=lambda m: bin(P.down[(m & -m).bit_length() - 1] & scope).count("1"))
+        return "series", cocomps, None
 
     # Prime: members of the same maximal proper strong module as x are
     # exactly those y for which the minimal module containing {x, y} is
@@ -169,20 +161,38 @@ def _gallai(P, members):
                 cls |= ybit
         classes.append(cls)
         unassigned &= ~cls
-    classes.sort(key=lambda m: (m & -m))
     if len(classes) < 4:
         raise ConstraintError("prime node with %d children" % len(classes))
-    children = tuple(_gallai(P, [e - 1 for e in _mask_to_elems(m)]) for m in classes)
-    reps = [min(_mask_to_elems(m)) for m in classes]
-    quot = restrict(P, reps)
-    return GallaiTree("prime", tuple(e + 1 for e in members), children, quot)
+    return "prime", classes, restrict(P, [(m & -m).bit_length() for m in classes])
 
 
 def gallai_tree(P):
     """The full strong-module tree of P."""
     if P.n < 1:
         raise RangeError("empty poset has no decomposition")
-    return _gallai(P, list(range(P.n)))
+    # split top-down, breadth first, so that each node's children sit
+    # together after it in the work list; then assemble from the end
+    masks = [(1 << P.n) - 1]
+    splits = []  # splits[i]: (kind, index of first child, child count, quotient)
+    for mask in masks:  # grows while it is walked
+        kind, parts, quot = _split(P, mask)
+        splits.append((kind, len(masks), len(parts), quot))
+        masks.extend(parts)
+    nodes = [None] * len(masks)
+    for i in reversed(range(len(masks))):
+        kind, first, count, quot = splits[i]
+        children = tuple(nodes[first:first + count])
+        nodes[i] = GallaiTree(kind, tuple(_mask_to_elems(masks[i])), children, quot)
+    return nodes[0]
+
+
+def fold_tree(tree, fold):
+    """Evaluate fold(node, values of its children) children first, without
+    recursion, and return the root's value."""
+    values = {}
+    for node in reversed(list(tree.nodes())):
+        values[id(node)] = fold(node, [values.pop(id(c)) for c in node.children])
+    return values[id(tree)]
 
 
 def quotient(P, parts):
@@ -301,45 +311,39 @@ def _permutation_encoding(Q):
 
 def tree_to_sexpr(tree):
     """Parenthesized serialization: leaf ids, (S ...), (P ...), (X[q] ...)."""
-    if tree.kind == "leaf":
-        return str(tree.elements[0])
-    inner = " ".join(tree_to_sexpr(c) for c in tree.children)
-    if tree.kind == "series":
-        return "(S %s)" % inner
-    if tree.kind == "parallel":
-        return "(P %s)" % inner
-    perm = _permutation_encoding(tree.quotient)
-    if perm is not None:
-        enc = " ".join(str(v) for v in perm.img)
-    else:
-        enc = ",".join("%d<%d" % (a, b) for a, b in tree.quotient.cover_pairs())
-    return "(X[%s] %s)" % (enc, inner)
+
+    def fold(node, parts):
+        if node.kind == "leaf":
+            return str(node.elements[0])
+        inner = " ".join(parts)
+        if node.kind == "series":
+            return "(S %s)" % inner
+        if node.kind == "parallel":
+            return "(P %s)" % inner
+        perm = _permutation_encoding(node.quotient)
+        if perm is not None:
+            enc = " ".join(str(v) for v in perm.img)
+        else:
+            enc = ",".join("%d<%d" % (a, b) for a, b in node.quotient.cover_pairs())
+        return "(X[%s] %s)" % (enc, inner)
+
+    return fold_tree(tree, fold)
 
 
 def reconstruct(tree):
     """Rebuild the poset (on the root's ground set) from its Gallai tree."""
     pairs = []
-
-    def walk(node):
-        if node.kind == "leaf":
-            return
-        for child in node.children:
-            walk(child)
+    for node in tree.nodes():
         if node.kind == "series":
-            # consecutive children only; transitivity fills in the rest
-            for i in range(len(node.children) - 1):
-                for a in node.children[i].elements:
-                    for b in node.children[i + 1].elements:
-                        pairs.append((a, b))
+            links = [(i, i + 1) for i in range(1, len(node.children))]
         elif node.kind == "prime":
-            quot = node.quotient
-            for i in range(quot.n):
-                for j in range(quot.n):
-                    if i != j and quot.less(i + 1, j + 1):
-                        for a in node.children[i].elements:
-                            for b in node.children[j].elements:
-                                pairs.append((a, b))
-
-    walk(tree)
-    n = len(tree.elements)
-    return poset_from_relations(n, pairs)
+            links = node.quotient.cover_pairs()
+        else:
+            continue
+        # children related by a cover of the quotient only; transitivity
+        # fills in the rest
+        for i, j in links:
+            for a in node.children[i - 1].elements:
+                for b in node.children[j - 1].elements:
+                    pairs.append((a, b))
+    return poset_from_relations(len(tree.elements), pairs)

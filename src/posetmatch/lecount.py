@@ -9,12 +9,13 @@ intrinsic width).  Exhaustive oracles live here too.
 Counts are plain Python integers (arbitrary precision).
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
 from math import factorial, prod
 
 from .core import Permutation, Poset, poset_from_permutation, poset_from_relations
-from .decomp import dilworth, gallai_tree
+from .decomp import dilworth, fold_tree, gallai_tree
 from .errors import MemoryBudgetError, SizeLimitError
 from .occur import automorphism_maps
 
@@ -163,7 +164,7 @@ def _multinomial(sizes):
 
 
 def count_linear_extensions(P, node_budget=DEFAULT_NODE_BUDGET):
-    """e(P) by recursion on the Gallai tree.
+    """e(P) by a fold over the Gallai tree.
 
     Every module may be ordered internally without constraint from the
     rest of an extension, so e(node) is the product over children times a
@@ -175,10 +176,10 @@ def count_linear_extensions(P, node_budget=DEFAULT_NODE_BUDGET):
     if P.n == 0:
         return 1
 
-    def walk(node):
+    def fold(node, counts):
         if node.kind == "leaf":
             return 1
-        total = prod(walk(c) for c in node.children)
+        total = prod(counts)
         sizes = [len(c.elements) for c in node.children]
         if node.kind == "series":
             return total
@@ -186,7 +187,7 @@ def count_linear_extensions(P, node_budget=DEFAULT_NODE_BUDGET):
             return total * _multinomial(sizes)
         return total * count_le_downset_dp(inflate(node.quotient, sizes), node_budget)
 
-    return walk(gallai_tree(P))
+    return fold_tree(gallai_tree(P), fold)
 
 
 def _pattern(sigma, positions):
@@ -196,85 +197,53 @@ def _pattern(sigma, positions):
     return Permutation([ranks[v] for v in values])
 
 
-def _quotient_perm(sigma, children):
-    """Quotient permutation at a prime node, children in min-position order.
+def _code_and_auts(sigma):
+    """Canonical code and |Aut| of D(sigma), folded over its Gallai tree.
 
-    Picking each child's least position as representative realizes the
-    quotient as the pattern of sigma at those positions.
+    A child's subtree is the Gallai tree of sigma's pattern at its
+    elements.  Parallel nodes allow permuting isomorphic children.  A
+    prime quotient D(rho) has two realizers, by position and by value,
+    and a nontrivial automorphism swaps them: one exists iff rho is an
+    involution, and it lifts iff it pairs isomorphic children.
     """
-    reps = [child.elements[0] for child in children]
-    return _pattern(sigma, reps)
 
+    def fold(node, kids):
+        if node.kind == "leaf":
+            return b"L", 1
+        codes = [code for code, _ in kids]
+        auts = prod(count for _, count in kids)
+        if node.kind == "series":
+            return b"(S" + b"".join(codes) + b")", auts
+        if node.kind == "parallel":
+            groups = Counter(codes).values()
+            return b"(P" + b"".join(sorted(codes)) + b")", auts * prod(map(factorial, groups))
+        # picking each child's least element as representative realizes
+        # the quotient as the pattern of sigma at those positions
+        rho = _pattern(sigma, [child.elements[0] for child in node.children])
+        inv = rho.inverse()
+        by_value = [codes[v - 1] for v in inv.img]
 
-def _code(sigma):
-    P = poset_from_permutation(sigma)
-    if P.n == 1:
-        return b"L"
-    tree = gallai_tree(P)
-    child_perms = [_pattern(sigma, child.elements) for child in tree.children]
-    child_codes = [_code(p) for p in child_perms]
-    if tree.kind == "series":
-        return b"(S" + b"".join(child_codes) + b")"
-    if tree.kind == "parallel":
-        return b"(P" + b"".join(sorted(child_codes)) + b")"
-    rho = _quotient_perm(sigma, tree.children)
-    inv = rho.inverse()
+        def variant(perm, ordered):
+            head = ",".join(str(v) for v in perm.img).encode()
+            return b"(X" + head + b"|" + b"".join(ordered) + b")"
 
-    def variant(perm, codes):
-        head = ",".join(str(v) for v in perm.img).encode()
-        return b"(X" + head + b"|" + b"".join(codes) + b")"
+        # the two realizer orderings: children by position with rho, and
+        # children by value with rho inverse
+        code = min(variant(rho, codes), variant(inv, by_value))
+        lift = rho.img == inv.img and by_value == codes
+        return code, auts * (2 if lift else 1)
 
-    # the two realizer orderings: children by position with rho, and
-    # children by value with rho inverse
-    a = variant(rho, child_codes)
-    value_order = [child_codes[inv.img[j] - 1] for j in range(rho.n)]
-    b = variant(inv, value_order)
-    return min(a, b)
+    return fold_tree(gallai_tree(poset_from_permutation(sigma)), fold)
 
 
 def canonical_code(sigma):
-    """Isomorphism-canonical code of D(sigma), recursive over its Gallai tree."""
-    return CanonicalCode(_code(sigma))
+    """Isomorphism-canonical code of D(sigma), over its Gallai tree."""
+    return CanonicalCode(_code_and_auts(sigma)[0])
 
 
 def count_automorphisms_dim2(sigma):
-    """|Aut(D(sigma))| by recursion on the Gallai tree.
-
-    Series nodes contribute nothing beyond their children; parallel nodes
-    allow permuting isomorphic children; a prime quotient has at most one
-    nontrivial automorphism, the inverse of its quotient permutation, and
-    it lifts only when it is genuinely an automorphism and pairs
-    isomorphic children.
-    """
-    P = poset_from_permutation(sigma)
-    if P.n == 1:
-        return 1
-    tree = gallai_tree(P)
-    child_perms = [_pattern(sigma, child.elements) for child in tree.children]
-    total = prod(count_automorphisms_dim2(p) for p in child_perms)
-    if tree.kind == "series":
-        return total
-    if tree.kind == "parallel":
-        groups = {}
-        for p in child_perms:
-            groups[_code(p)] = groups.get(_code(p), 0) + 1
-        return total * prod(factorial(m) for m in groups.values())
-    rho = _quotient_perm(sigma, tree.children)
-    tau = rho.inverse().img
-    quot = tree.quotient
-    lift = 1
-    for i in range(quot.n):
-        for j in range(quot.n):
-            if i != j and quot.less(i + 1, j + 1) != quot.less(tau[i], tau[j]):
-                lift = 0
-                break
-        if not lift:
-            break
-    if lift:
-        codes = [_code(p) for p in child_perms]
-        if any(codes[i] != codes[tau[i] - 1] for i in range(quot.n)):
-            lift = 0
-    return total * (1 + lift)
+    """|Aut(D(sigma))|, from the same pass over the Gallai tree as the code."""
+    return _code_and_auts(sigma)[1]
 
 
 def count_automorphisms_bruteforce(P, budget=DEFAULT_ORACLE_BUDGET):

@@ -7,6 +7,7 @@ automorphisms (induced injective self-occurrences) and permutation
 pattern matching (occurrences between dimension-2 posets) all run on it.
 """
 
+import sys
 import time
 from math import comb
 
@@ -34,6 +35,10 @@ def _count_maps(P, Q, induced, injective, deadline=None, visit=None):
     if it returns a true value.
     """
     k, n = P.n, Q.n
+    # one frame per pattern element, and 100 left for the callers
+    if k + 100 > sys.getrecursionlimit():
+        raise errors.SizeLimitError("a %d-element pattern is too deep for the recursion limit of %d"
+                                    % (k, sys.getrecursionlimit()))
     full = (1 << n) - 1
     incomparable = None
     if induced:

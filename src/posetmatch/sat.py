@@ -8,6 +8,7 @@ matches of pi in tau two independent ways and compares with exhaustive
 #SAT.
 """
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -302,13 +303,16 @@ def verify_reduction(f, method="structured", timeout=60.0):
     (non-induced, injective, unlabeled); method="structured" enumerates
     the (r, s)-indexed candidate maps and validates each one, recording
     which pairs matched and whether every match is induced and
-    block-local.
+    block-local.  Either method raises TimeoutError once timeout seconds
+    have passed; timeout=None sets no deadline.
     """
     if method not in ("backtrack", "structured"):
         raise ValueError("unknown method %r" % method)
+    if timeout is not None and not math.isfinite(timeout):
+        raise ValueError("timeout must be a finite number of seconds or None, got %r" % timeout)
     gadget = build_gadget(f)
     sat = count_satisfying(f)
-    deadline = time.monotonic() + timeout if timeout else None
+    deadline = time.monotonic() + timeout if timeout is not None else None
     if method == "backtrack":
         flavor = OccurrenceFlavor(induced=False, injective=True, unlabeled=True)
         matches = count_occurrences(

@@ -1,9 +1,10 @@
 import itertools
 import random
+import sys
 
 import pytest
 
-from posetmatch import OccurrenceFlavor, is_occurrence, poset_from_relations
+from posetmatch import OccurrenceFlavor, Permutation, is_occurrence, poset_from_relations
 
 
 def random_poset(rng, n, prob=None):
@@ -13,6 +14,20 @@ def random_poset(rng, n, prob=None):
     pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
              if rng.random() < prob]
     return poset_from_relations(n, pairs)
+
+
+def staircase(steps):
+    """sigma = 1, then alternately sigma (+) 21 and sigma (-) 12, steps
+    times: the Gallai tree of D(sigma) alternates series and parallel
+    nodes over steps + 1 levels."""
+    img = [1]
+    for step in range(steps):
+        n = len(img)
+        if step % 2 == 0:
+            img = img + [n + 2, n + 1]
+        else:
+            img = [v + 2 for v in img] + [1, 2]
+    return Permutation(img)
 
 
 def brute_automorphisms(P):
@@ -42,3 +57,13 @@ def brute_occurrences(P, Q, flavor):
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture
+def low_recursion_limit():
+    """Lower the interpreter's recursion limit for one test, so that any
+    walk recursing once per tree level or pattern element fails."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    yield 250
+    sys.setrecursionlimit(old)

@@ -6,9 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-from posetmatch import chain
-from posetmatch.core import format_poset
+from posetmatch import chain, gallai_tree, poset_from_permutation
+from posetmatch.core import format_permutation, format_poset
 from posetmatch.cli import run
+from posetmatch.decomp import tree_to_sexpr
+
+from conftest import staircase
 
 
 def invoke(argv):
@@ -100,6 +103,14 @@ def test_occur_permutation_inputs(tmp_path):
     assert code == 0 and out == "3\n"
 
 
+def test_occur_pattern_deeper_than_stack(low_recursion_limit, tmp_path):
+    path = write(tmp_path, "chain.poset", format_poset(chain(300)))
+    code, out, err = invoke(["occur", "--pattern", path, "--text", path])
+    assert code == 3 and out == ""
+    assert err == "error: a 300-element pattern is too deep for the recursion limit of %d\n" % (
+        low_recursion_limit)
+
+
 # --- small verbs ---------------------------------------------------------------
 
 def test_auts():
@@ -111,6 +122,20 @@ def test_decomp(tmp_path):
     path = write(tmp_path, "c.poset", "p 3\nr 1 2\nr 2 3\nr 1 3\n")
     code, out, _ = invoke(["decomp", path])
     assert code == 0 and out == "(S 1 2 3)\n"
+
+
+def test_staircase_verbs(low_recursion_limit, tmp_path):
+    steps = 300
+    sigma = staircase(steps)
+    code, out, err = invoke(["auts", format_permutation(sigma)])
+    assert (code, out, err) == (0, "%d\n" % 2 ** ((steps + 1) // 2), "")
+    P = poset_from_permutation(sigma)
+    path = write(tmp_path, "staircase.poset", format_poset(P))
+    code, out, err = invoke(["decomp", path])
+    assert (code, out, err) == (0, tree_to_sexpr(gallai_tree(P)) + "\n", "")
+    for verb in ("iwidth", "le"):
+        code, out, err = invoke([verb, path])
+        assert code == 0 and err == "", verb
 
 
 def test_width_and_iwidth(tmp_path):
@@ -173,6 +198,14 @@ def test_sat_verify_timeout_exit_code(tmp_path):
     assert code == 3 and "error:" in err
 
 
+def test_sat_verify_timeout_must_bound(tmp_path):
+    cnf = write(tmp_path, "f.cnf", "p cnf 1 1\n1 1 1 0\n")
+    for value in ("0", "-1", "nan", "inf", "abc"):
+        code, out, err = invoke(["sat-verify", cnf, "--timeout", value])
+        assert code == 1 and out == "" and "usage error" in err, value
+        assert len(err.splitlines()) == 1, value
+
+
 def test_sat_verify_bad_cnf(tmp_path):
     cnf = write(tmp_path, "f.cnf", "p cnf 1 1\n1 -1 1 0\n")
     code, _, err = invoke(["sat-verify", cnf])
@@ -197,7 +230,8 @@ def test_gen_perm_deterministic():
 
 def test_gen_bad_size_is_usage_error():
     for argv in (["gen", "poset", "-5", "0.5", "1"], ["gen", "perm", "0", "1"],
-                 ["gen", "perm", "-2", "1"]):
+                 ["gen", "perm", "-2", "1"], ["gen", "poset", "5", "abc", "1"],
+                 ["gen", "perm", "5", "x"]):
         code, out, err = invoke(argv)
         assert code == 1 and out == "" and "usage error" in err, argv
 

@@ -178,3 +178,13 @@ def test_verify_bad_method():
 def test_backtrack_timeout():
     with pytest.raises(TimeoutError):
         verify_reduction(parse_dimacs(F1), method="backtrack", timeout=0.05)
+
+
+def test_timeout_none_is_the_only_unbounded_value():
+    f = parse_dimacs(F1)
+    with pytest.raises(TimeoutError):
+        verify_reduction(f, method="structured", timeout=0)
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            verify_reduction(f, timeout=value)
+    assert verify_reduction(f, timeout=None) == verify_reduction(f, timeout=60.0)
