@@ -142,7 +142,7 @@ def _split(P, scope):
         # across co-components every pair is comparable, so the more
         # elements lie below a co-component's least element, the higher
         # the co-component sits
-        cocomps.sort(key=lambda m: bin(P.down[(m & -m).bit_length() - 1] & scope).count("1"))
+        cocomps.sort(key=lambda m: (P.down[(m & -m).bit_length() - 1] & scope).bit_count())
         return "series", cocomps, None
 
     # Prime: members of the same maximal proper strong module as x are
