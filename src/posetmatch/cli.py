@@ -51,6 +51,19 @@ def _seconds(text):
     return value
 
 
+_CHUNK = 10 ** 1000
+
+
+def _decimal(count):
+    """A count in decimal, built in chunks of 1,000 digits so that counts
+    past Python's int-to-str digit limit still print."""
+    chunks = []
+    while count >= _CHUNK:
+        count, low = divmod(count, _CHUNK)
+        chunks.append("%01000d" % low)
+    return "%d" % count + "".join(reversed(chunks))
+
+
 def build_parser():
     parser = Parser(prog="posetmatch")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -108,7 +121,7 @@ def _run_le(args, out):
         oracle = lecount.count_le_bruteforce(P)
         if oracle != value:
             raise errors.ConstraintError("le mismatch: %d vs oracle %d" % (value, oracle))
-    out.write("%d\n" % value)
+    out.write(_decimal(value) + "\n")
 
 
 def _run_occur(args, out):
@@ -119,7 +132,7 @@ def _run_occur(args, out):
         for occ in occur.enumerate_occurrences(P, Q, flavor):
             out.write(" ".join("%d->%d" % (v + 1, q) for v, q in enumerate(occ.assignment)) + "\n")
     else:
-        out.write("%d\n" % occur.count_occurrences(P, Q, flavor))
+        out.write(_decimal(occur.count_occurrences(P, Q, flavor)) + "\n")
 
 
 def _run_gen(args, out):
@@ -164,7 +177,7 @@ def run(argv, out=None, err=None):
             _run_occur(args, out)
         elif args.verb == "auts":
             sigma = core.parse_permutation(args.perm)
-            out.write("%d\n" % lecount.count_automorphisms_dim2(sigma))
+            out.write(_decimal(lecount.count_automorphisms_dim2(sigma)) + "\n")
         elif args.verb == "decomp":
             out.write(decomp.tree_to_sexpr(decomp.gallai_tree(_load_poset(args.poset))) + "\n")
         elif args.verb == "width":

@@ -8,7 +8,7 @@ the maximal proper strong modules partition the ground set.
 
 from dataclasses import dataclass, field
 
-from .core import Poset, poset_from_relations, restrict
+from .core import Permutation, Poset, poset_from_permutation, poset_from_relations, restrict
 from .errors import ConstraintError, NotAModuleError, RangeError
 
 __all__ = [
@@ -277,36 +277,17 @@ def intrinsic_width(P):
 def _permutation_encoding(Q):
     """A permutation rho with D(rho) equal to Q, or None.
 
-    For i < j the orientation of rho is forced: rho(i) < rho(j) iff i
-    precedes j.  The encoding exists iff that tournament is transitive.
+    In D(rho), rho(i) - 1 counts the j < i below i and the j > i
+    incomparable to i; Q is encodable iff those counts give a
+    permutation that encodes Q.
     """
     k = Q.n
-    greater = [0] * k  # greater[i]: elements that must exceed rho(i)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if Q.less(j + 1, i + 1):
-                return None
-            if Q.less(i + 1, j + 1):
-                greater[i] |= 1 << j
-            else:
-                greater[j] |= 1 << i
-    # rank by number of forced-smaller elements
-    below = [0] * k
-    for i in range(k):
-        row = greater[i]
-        while row:
-            j = (row & -row).bit_length() - 1
-            below[j] += 1
-            row &= row - 1
-    if sorted(below) != list(range(k)):
+    rho = [1 + (Q.down[i] & ((1 << i) - 1)).bit_count()
+           + k - 1 - i - ((Q.up[i] | Q.down[i]) >> (i + 1)).bit_count() for i in range(k)]
+    if sorted(rho) != list(range(1, k + 1)):
         return None
-    rho = [b + 1 for b in below]
-    from .core import Permutation, poset_from_permutation
-
     perm = Permutation(rho)
-    if poset_from_permutation(perm) != Q:
-        return None
-    return perm
+    return perm if poset_from_permutation(perm) == Q else None
 
 
 def tree_to_sexpr(tree):

@@ -9,7 +9,7 @@ intrinsic width).  Exhaustive oracles live here too.
 Counts are plain Python integers (arbitrary precision).
 """
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import permutations
 from math import factorial, prod
@@ -64,42 +64,36 @@ class CanonicalCode:
     code: bytes
 
 
-def downset_lattice(P, cd):
-    """The lattice of down-sets of P over the chain cover cd.
+def _levels(P, chains):
+    """The down-sets of P over the chain cover, one size at a time.
 
-    Built frontier-first: a down-set D extends by the least unused element
-    x of a chain iff no chain's least unused element precedes x, which
-    needs at most k^2 comparisons per down-set.
+    Yields, for sizes 1..n in turn, a dict from the key of each down-set
+    of that size to the keys it covers.  The next element x of chain i
+    extends a down-set iff the down-set holds every element below x; the
+    elements of chain j below x form a prefix of chain j, so that is
+    key[j] >= need for each (j, need) listed for x.
     """
-    chains = cd.chains
-    k = len(chains)
-    empty = (0,) * k
-    nodes = {empty: []}
-    queue = [empty]
-    while queue:
-        key = queue.pop()
-        frontier = [chains[j][key[j]] if key[j] < len(chains[j]) else None for j in range(k)]
-        for i in range(k):
-            x = frontier[i]
-            if x is None:
-                continue
-            ok = True
-            for j in range(k):
-                y = frontier[j]
-                if y is not None and y != x and P.less(y, x):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            newkey = key[:i] + (key[i] + 1,) + key[i + 1:]
-            node = nodes.get(newkey)
-            if node is None:
-                nodes[newkey] = [key]
-                queue.append(newkey)
-            else:
-                node.append(key)
-    for children in nodes.values():
-        children.sort()
+    masks = [sum(1 << (x - 1) for x in c) for c in chains]
+    need = [[[(j, (P.down[x - 1] & m).bit_count()) for j, m in enumerate(masks)
+              if j != i and P.down[x - 1] & m] for x in c]
+            for i, c in enumerate(chains)]
+    level = {(0,) * len(chains): []}
+    for _ in range(P.n):
+        nxt = defaultdict(list)
+        for key in level:
+            for i, t in enumerate(key):
+                if t == len(chains[i]) or any(key[j] < r for j, r in need[i][t]):
+                    continue
+                nxt[key[:i] + (t + 1,) + key[i + 1:]].append(key)
+        yield nxt
+        level = nxt
+
+
+def downset_lattice(P, cd):
+    """The lattice of down-sets of P over the chain cover cd."""
+    nodes = {(0,) * len(cd.chains): []}
+    for level in _levels(P, cd.chains):
+        nodes.update((key, sorted(children)) for key, children in level.items())
     return DownSetLattice(nodes, cd)
 
 
@@ -110,7 +104,6 @@ def lattice_as_poset(lattice):
     componentwise comparison of prefix vectors.
     """
     keys = sorted(lattice.nodes, key=lambda key: (sum(key), key))
-    index = {key: i for i, key in enumerate(keys)}
     up = [0] * len(keys)
     for i, a in enumerate(keys):
         for j, b in enumerate(keys):
@@ -120,20 +113,17 @@ def lattice_as_poset(lattice):
 
 
 def count_le_downset_dp(P, node_budget=DEFAULT_NODE_BUDGET):
-    """e(P) by the down-set recurrence f(D) = sum over covered D'."""
+    """e(P) by the down-set recurrence f(D) = sum over covered D', level by level."""
     cd = dilworth(P)
-    projected = prod(len(c) + 1 for c in cd.chains)
-    if projected > node_budget:
+    if prod(len(c) + 1 for c in cd.chains) > node_budget:
         raise MemoryBudgetError(
-            "projected down-set count %d exceeds budget %d" % (projected, node_budget)
+            "projected down-sets over %d chains exceed node budget %d" % (len(cd.chains), node_budget)
         )
-    lattice = downset_lattice(P, cd)
-    f = {lattice.empty_key: 1}
-    for key in sorted(lattice.nodes, key=lambda key: (sum(key), key)):
-        children = lattice.nodes[key]
-        if children:
-            f[key] = sum(f[c] for c in children)
-    return f[lattice.full_key]
+    f = {(0,) * len(cd.chains): 1}
+    for level in _levels(P, cd.chains):
+        f = {key: sum(f[c] for c in children) for key, children in level.items()}
+    (count,) = f.values()
+    return count
 
 
 def inflate(quotient, sizes):

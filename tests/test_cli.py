@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line front end."""
 
 import io
+import math
 import os
 import subprocess
 import sys
@@ -62,6 +63,32 @@ def test_le_brute_budget_exit_code(tmp_path):
     path = write(tmp_path, "anti.poset", big)
     code, _, err = invoke(["le", path, "--method", "brute"])
     assert code == 3 and "error:" in err
+
+
+def _str(value):
+    """str(value), with the int-to-str digit limit lifted for this call only."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_counts_past_the_digit_limit(tmp_path):
+    # 2000! has 5,736 digits, past the default limit of 4,300
+    expected = _str(math.factorial(2000)) + "\n"
+    path = write(tmp_path, "anti.poset", "p 2000\n")
+    assert invoke(["le", path]) == (0, expected, "")
+    assert invoke(["auts", " ".join(str(v) for v in range(2000, 0, -1))]) == (0, expected, "")
+
+
+def test_le_downset_budget_is_one_line(tmp_path):
+    # the projected down-set count 2^15000 is itself past the digit limit
+    path = write(tmp_path, "anti.poset", "p 15000\n")
+    code, out, err = invoke(["le", path, "--method", "downset"])
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # --- occur --------------------------------------------------------------------

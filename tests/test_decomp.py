@@ -156,3 +156,7 @@ def test_sexpr_forms():
     assert tree_to_sexpr(gallai_tree(antichain(3))) == "(P 1 2 3)"
     s = tree_to_sexpr(gallai_tree(poset_from_permutation(Permutation([2, 4, 1, 3]))))
     assert s == "(X[2 4 1 3] 1 2 3 4)"
+    # D(2413) relabeled so that 4 < 2 and 4 < 3: no permutation encodes the
+    # quotient in this labeling, so its cover pairs are listed
+    relabeled = poset_from_relations(4, [(1, 2), (4, 2), (4, 3)])
+    assert tree_to_sexpr(gallai_tree(relabeled)) == "(X[1<2,4<2,4<3] 1 2 3 4)"

@@ -67,14 +67,18 @@ def test_lattice_matches_brute(rng):
 
 
 def test_lattice_predecessors_drop_one_element(rng):
-    P = random_poset(rng, 6)
-    lat = downset_lattice(P, dilworth(P))
-    chains = lat.chain_assignment.chains
-    for key, preds in lat.nodes.items():
-        S = key_to_set(key, chains)
-        for prev in preds:
-            T = key_to_set(prev, chains)
-            assert len(S - T) == 1 and T < S
+    for _ in range(10):
+        P = random_poset(rng, rng.randint(0, 7))
+        lat = downset_lattice(P, dilworth(P))
+        chains = lat.chain_assignment.chains
+        keys = {key_to_set(key, chains): key for key in lat.nodes}
+        for key, preds in lat.nodes.items():
+            S = key_to_set(key, chains)
+            for prev in preds:
+                T = key_to_set(prev, chains)
+                assert len(S - T) == 1 and T < S
+            maximal = [x for x in S if not any(P.less(x, y) for y in S)]
+            assert preds == sorted(keys[S - {x}] for x in maximal)
 
 
 def test_lattice_as_poset_is_containment(rng):
