@@ -11,12 +11,12 @@ Counts are plain Python integers (arbitrary precision).
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import factorial, prod
 
-from .core import Permutation, Poset, poset_from_permutation, poset_from_relations
-from .decomp import dilworth, fold_tree, gallai_tree
-from .errors import MemoryBudgetError, SizeLimitError
+from .core import Poset, poset_from_permutation, poset_from_relations
+from .decomp import _permutation_encoding, dilworth, fold_tree, gallai_tree
+from .errors import MemoryBudgetError, RangeError, SizeLimitError
 from .occur import automorphism_maps
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -131,12 +131,12 @@ def inflate(quotient, sizes):
 
     Relations lift uniformly, so the result has the quotient's width.
     """
-    assert len(sizes) == quotient.n
-    offsets = []
-    total = 0
-    for s in sizes:
-        offsets.append(total)
-        total += s
+    if len(sizes) != quotient.n:
+        raise RangeError("%d chain sizes for a %d-element quotient" % (len(sizes), quotient.n))
+    if any(s < 1 for s in sizes):
+        raise RangeError("chain size %d is below 1" % min(sizes))
+    offsets = list(accumulate(sizes, initial=0))
+    total = offsets.pop()
     pairs = []
     for i in range(quotient.n):
         base = offsets[i]
@@ -180,13 +180,6 @@ def count_linear_extensions(P, node_budget=DEFAULT_NODE_BUDGET):
     return fold_tree(gallai_tree(P), fold)
 
 
-def _pattern(sigma, positions):
-    """The permutation pattern of sigma at the given (sorted) positions."""
-    values = [sigma.img[p - 1] for p in positions]
-    ranks = {v: r + 1 for r, v in enumerate(sorted(values))}
-    return Permutation([ranks[v] for v in values])
-
-
 def _code_and_auts(sigma):
     """Canonical code and |Aut| of D(sigma), folded over its Gallai tree.
 
@@ -207,9 +200,8 @@ def _code_and_auts(sigma):
         if node.kind == "parallel":
             groups = Counter(codes).values()
             return b"(P" + b"".join(sorted(codes)) + b")", auts * prod(map(factorial, groups))
-        # picking each child's least element as representative realizes
-        # the quotient as the pattern of sigma at those positions
-        rho = _pattern(sigma, [child.elements[0] for child in node.children])
+        # a prime quotient of D(sigma) is D(rho) for exactly one rho
+        rho = _permutation_encoding(node.quotient)
         inv = rho.inverse()
         by_value = [codes[v - 1] for v in inv.img]
 

@@ -5,6 +5,10 @@ elements in increasing element order and intersects bitmask candidate
 sets.  Counting, enumeration (a leaf visitor that collects maps),
 automorphisms (induced injective self-occurrences) and permutation
 pattern matching (occurrences between dimension-2 posets) all run on it.
+
+Unlabeled occurrences are orbits under precomposition with Aut(P).
+Counts use Burnside's lemma, one search per automorphism g for the maps
+f with f∘g = f; the orbit-minimum leaf filter serves enumeration only.
 """
 
 import sys
@@ -26,15 +30,18 @@ __all__ = [
 ]
 
 
-def _count_maps(P, Q, induced, injective, deadline=None, visit=None):
+def _count_maps(P, Q, induced, injective, deadline=None, visit=None, fixed_by=None):
     """Count occurrence maps by backtracking with bitmask candidate sets.
 
     Candidates are tried lowest element first, so leaves are reached in
     lexicographic order of assignment vectors.  When visit is given, it
     is called with the assignment at every leaf, and the leaf counts only
-    if it returns a true value.
+    if it returns a true value.  When fixed_by is an automorphism g of P
+    (a tuple as from automorphism_maps), only maps f with f∘g = f count.
     """
     k, n = P.n, Q.n
+    if injective and fixed_by is not None and fixed_by != tuple(range(1, k + 1)):
+        return 0  # f∘g = f forces f(v) = f(g(v)) for some g(v) != v
     # one frame per pattern element, and 100 left for the callers
     if k + 100 > sys.getrecursionlimit():
         raise errors.SizeLimitError("a %d-element pattern is too deep for the recursion limit of %d"
@@ -56,6 +63,12 @@ def _count_maps(P, Q, induced, injective, deadline=None, visit=None):
             elif induced:
                 row.append((u, incomparable))
         constraints.append(row)
+    if fixed_by is not None:
+        # f(v) = f(g(v)), checked at whichever of the two is assigned later
+        same = [1 << j for j in range(n)]
+        ties = {(min(v, img - 1), max(v, img - 1)) for v, img in enumerate(fixed_by) if img - 1 != v}
+        for u, v in sorted(ties):
+            constraints[v].append((u, same))
     assignment = [0] * k
     count = 0
     nodes = 0
@@ -63,7 +76,7 @@ def _count_maps(P, Q, induced, injective, deadline=None, visit=None):
     def extend(v, used):
         nonlocal count, nodes
         nodes += 1
-        if deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline:
+        if deadline is not None and nodes % 4096 == 1 and time.monotonic() > deadline:
             raise errors.TimeoutError("occurrence count exceeded its deadline")
         if v == k:
             if visit is None or visit(assignment):
@@ -139,19 +152,17 @@ def enumerate_occurrences(P, Q, flavor, budget=DEFAULT_ENUM_BUDGET):
 def count_occurrences(P, Q, flavor, deadline=None):
     """Number of occurrences of P in Q of the given flavor.
 
-    Labeled counts come straight from backtracking.  Unlabeled injective
-    counts divide by |Aut(P)| (orbits of injective maps have exactly
-    |Aut(P)| members); unlabeled non-injective counts keep only orbit
-    minima, since those orbits can be smaller.
+    Labeled counts come straight from backtracking.  Unlabeled counts are
+    orbits under precomposition with Aut(P), counted by Burnside's lemma:
+    the sum over automorphisms g of the maps f with f∘g = f, divided by
+    |Aut(P)|.  An injective map is fixed by the identity alone.  The
+    deadline is checked as each search starts and every 4,096 nodes.
     """
-    if not flavor.unlabeled:
-        return _count_maps(P, Q, flavor.induced, flavor.injective, deadline)
-    if flavor.injective:
-        n_auts = len(automorphism_maps(P))
-        labeled = _count_maps(P, Q, flavor.induced, True, deadline)
-        assert labeled % n_auts == 0
-        return labeled // n_auts
-    return _count_maps(P, Q, flavor.induced, False, deadline, visit=_is_orbit_minimum(P))
+    group = automorphism_maps(P) if flavor.unlabeled else [None]
+    total = sum(_count_maps(P, Q, flavor.induced, flavor.injective, deadline, fixed_by=g) for g in group)
+    if total % len(group):
+        raise errors.ConstraintError("Burnside sum %d over %d automorphisms" % (total, len(group)))
+    return total // len(group)
 
 
 def match_permutation(sigma_P, sigma_Q, induced):

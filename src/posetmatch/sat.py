@@ -104,6 +104,8 @@ def parse_dimacs(text):
                 n, m = int(parts[2]), int(parts[3])
             except ValueError:
                 raise FormatError("line %d: bad header counts" % lineno)
+            if n < 0 or m < 0:
+                raise FormatError("line %d: negative count" % lineno)
         else:
             if n is None:
                 raise FormatError("line %d: clause before header" % lineno)
@@ -313,17 +315,11 @@ def verify_reduction(f, method="structured", timeout=60.0):
     gadget = build_gadget(f)
     sat = count_satisfying(f)
     deadline = time.monotonic() + timeout if timeout is not None else None
-    if method == "backtrack":
-        flavor = OccurrenceFlavor(induced=False, injective=True, unlabeled=True)
-        matches = count_occurrences(
-            poset_from_permutation(gadget.pattern),
-            poset_from_permutation(gadget.text),
-            flavor,
-            deadline=deadline,
-        )
-        return VerifyReport(method, matches, sat)
     P = poset_from_permutation(gadget.pattern)
     Q = poset_from_permutation(gadget.text)
+    if method == "backtrack":
+        flavor = OccurrenceFlavor(induced=False, injective=True, unlabeled=True)
+        return VerifyReport(method, count_occurrences(P, Q, flavor, deadline=deadline), sat)
     plain = OccurrenceFlavor(induced=False, injective=True)
     induced = OccurrenceFlavor(induced=True, injective=True)
     pairs = []

@@ -239,6 +239,13 @@ def test_sat_verify_bad_cnf(tmp_path):
     assert code == 2 and "error:" in err
 
 
+def test_sat_verify_negative_header_count(tmp_path):
+    for header in ("p cnf -1 0", "p cnf 1 -1"):
+        cnf = write(tmp_path, "neg.cnf", header + "\n")
+        code, out, err = invoke(["sat-verify", cnf])
+        assert (code, out, err) == (2, "", "error: line 1: negative count\n"), header
+
+
 # --- gen ------------------------------------------------------------------------
 
 def test_gen_poset_deterministic():

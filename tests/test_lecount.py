@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +25,7 @@ from posetmatch import (
     poset_from_relations,
     width,
 )
-from posetmatch.errors import MemoryBudgetError, SizeLimitError
+from posetmatch.errors import MemoryBudgetError, RangeError, SizeLimitError
 from posetmatch.lecount import count_automorphisms_bruteforce, count_le_bruteforce
 
 from conftest import random_poset
@@ -167,6 +171,30 @@ def test_inflate_antichain_blocks():
     Q = inflate(antichain(2), [2, 2])
     # two disjoint 2-chains
     assert sorted(Q.relations()) == [(1, 2), (3, 4)]
+
+
+def test_inflate_rejects_bad_sizes():
+    with pytest.raises(RangeError, match="3 chain sizes for a 2-element quotient"):
+        inflate(chain(2), [2, 3, 4])
+    with pytest.raises(RangeError, match="1 chain sizes for a 3-element quotient"):
+        inflate(chain(3), [2])
+    for sizes in ([0, 1], [1, -2]):
+        with pytest.raises(RangeError, match="chain size -?[0-9]+ is below 1"):
+            inflate(chain(2), sizes)
+    with pytest.raises(RangeError, match="chain size 0 is below 1"):
+        inflate(chain(3), [1, 0, 1])
+
+
+def test_inflate_checks_lengths_under_optimize():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = ("from posetmatch import chain, inflate\n"
+              "from posetmatch.errors import RangeError\n"
+              "try:\n    inflate(chain(2), [2, 3, 4])\n"
+              "except RangeError as e:\n    print(e)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "3 chain sizes for a 2-element quotient\n"
 
 
 def test_inflate_keeps_width(rng):

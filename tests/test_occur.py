@@ -1,4 +1,5 @@
 import itertools
+import time
 from math import comb
 
 import pytest
@@ -17,7 +18,7 @@ from posetmatch import (
     poset_from_permutation,
     poset_from_relations,
 )
-from posetmatch.errors import SizeError, SizeLimitError
+from posetmatch.errors import SizeError, SizeLimitError, TimeoutError
 from posetmatch.occur import automorphism_maps
 
 from conftest import brute_automorphisms, brute_occurrences, random_poset
@@ -64,15 +65,30 @@ def test_enumerate_budget_bounds_output_not_map_space():
     assert occs[-1].assignment == (7, 8, 9, 10, 11, 12)
 
 
+# patterns whose automorphism orbits on maps differ in size: fixed points
+# of a swap of two blocks, or of a permutation of antichain elements
+SYMMETRIC_PATTERNS = [antichain(3), poset_from_permutation(Permutation([3, 4, 1, 2])),
+                      poset_from_relations(3, [(1, 2)])]
+
+
 def test_count_matches_enumeration(rng):
-    for _ in range(25):
-        P = random_poset(rng, 3)
-        Q = random_poset(rng, 5)
+    pairs = [(random_poset(rng, 3), random_poset(rng, 5)) for _ in range(25)]
+    pairs += [(P, random_poset(rng, 5)) for P in SYMMETRIC_PATTERNS for _ in range(4)]
+    for P, Q in pairs:
         for flavor in ALL_FLAVORS:
             oracle = brute_occurrences(P, Q, flavor)
             occs = enumerate_occurrences(P, Q, flavor)
             assert count_occurrences(P, Q, flavor) == len(occs) == len(oracle)
             assert [o.assignment for o in occs] == oracle
+
+
+def test_unlabeled_count_honours_a_passed_deadline():
+    # antichain(2) has two automorphisms, so the count runs two searches,
+    # each far shorter than the interval between deadline checks
+    for injective in (False, True):
+        with pytest.raises(TimeoutError):
+            count_occurrences(antichain(2), chain(3), OccurrenceFlavor(False, injective, True),
+                              deadline=time.monotonic() - 1)
 
 
 def test_automorphisms_match_brute(rng):
