@@ -63,14 +63,7 @@ def is_module(P, T):
         if not 1 <= x <= P.n:
             raise RangeError("element %r outside 1..%d" % (x, P.n))
         mask |= 1 << (x - 1)
-    for z in range(P.n):
-        if mask & (1 << z):
-            continue
-        for rows in (P.up, P.down):
-            inter = rows[z] & mask
-            if inter != 0 and inter != mask:
-                return False
-    return True
+    return _min_module(P, mask, (1 << P.n) - 1) == mask
 
 
 def _components(scope, neighbors):

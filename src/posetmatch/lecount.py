@@ -67,33 +67,32 @@ class CanonicalCode:
 def _levels(P, chains):
     """The down-sets of P over the chain cover, one size at a time.
 
-    Yields, for sizes 1..n in turn, a dict from the key of each down-set
-    of that size to the keys it covers.  The next element x of chain i
-    extends a down-set iff the down-set holds every element below x; the
-    elements of chain j below x form a prefix of chain j, so that is
-    key[j] >= need for each (j, need) listed for x.
+    Yields, for sizes 1..n in turn, a dict from each down-set of that
+    size, as a bitmask, to the down-sets it covers.  A down-set D meets
+    each chain c in a prefix of t elements, so c[t] is the only element
+    of c that can extend D, and it does iff D holds everything below it.
     """
-    masks = [sum(1 << (x - 1) for x in c) for c in chains]
-    need = [[[(j, (P.down[x - 1] & m).bit_count()) for j, m in enumerate(masks)
-              if j != i and P.down[x - 1] & m] for x in c]
-            for i, c in enumerate(chains)]
-    level = {(0,) * len(chains): []}
+    heads = [([x - 1 for x in c], sum(1 << (x - 1) for x in c)) for c in chains]
+    level = {0: []}
     for _ in range(P.n):
         nxt = defaultdict(list)
-        for key in level:
-            for i, t in enumerate(key):
-                if t == len(chains[i]) or any(key[j] < r for j, r in need[i][t]):
-                    continue
-                nxt[key[:i] + (t + 1,) + key[i + 1:]].append(key)
+        for D in level:
+            for c, m in heads:
+                t = (D & m).bit_count()
+                if t < len(c) and not P.down[c[t]] & ~D:
+                    nxt[D | 1 << c[t]].append(D)
         yield nxt
         level = nxt
 
 
 def downset_lattice(P, cd):
     """The lattice of down-sets of P over the chain cover cd."""
-    nodes = {(0,) * len(cd.chains): []}
+    masks = [sum(1 << (x - 1) for x in c) for c in cd.chains]
+    keys = {0: (0,) * len(masks)}
+    nodes = {keys[0]: []}
     for level in _levels(P, cd.chains):
-        nodes.update((key, sorted(children)) for key, children in level.items())
+        prev, keys = keys, {D: tuple((D & m).bit_count() for m in masks) for D in level}
+        nodes.update((keys[D], sorted(prev[c] for c in children)) for D, children in level.items())
     return DownSetLattice(nodes, cd)
 
 
@@ -119,9 +118,9 @@ def count_le_downset_dp(P, node_budget=DEFAULT_NODE_BUDGET):
         raise MemoryBudgetError(
             "projected down-sets over %d chains exceed node budget %d" % (len(cd.chains), node_budget)
         )
-    f = {(0,) * len(cd.chains): 1}
+    f = {0: 1}
     for level in _levels(P, cd.chains):
-        f = {key: sum(f[c] for c in children) for key, children in level.items()}
+        f = {D: sum(f[c] for c in children) for D, children in level.items()}
     (count,) = f.values()
     return count
 
@@ -229,7 +228,7 @@ def count_automorphisms_dim2(sigma):
 
 
 def count_automorphisms_bruteforce(P, budget=DEFAULT_ORACLE_BUDGET):
-    """Exhaustive |Aut(P)| over all bijections; oracle use only."""
+    """|Aut(P)| by the pruned search of automorphism_maps; oracle use only."""
     if P.n > budget:
         raise SizeLimitError("|P| = %d exceeds oracle budget %d" % (P.n, budget))
     return len(automorphism_maps(P))

@@ -7,12 +7,14 @@ automorphisms (induced injective self-occurrences) and permutation
 pattern matching (occurrences between dimension-2 posets) all run on it.
 
 Unlabeled occurrences are orbits under precomposition with Aut(P).
-Counts use Burnside's lemma, one search per automorphism g for the maps
-f with f∘g = f; the orbit-minimum leaf filter serves enumeration only.
+Counts use Burnside's lemma: the maps f with f∘g = f are those constant
+on the cycles of the automorphism g, so one search serves all g with the
+same cycles.  The orbit-minimum leaf filter serves enumeration only.
 """
 
 import sys
 import time
+from collections import Counter
 from math import comb
 
 from . import errors
@@ -36,8 +38,8 @@ def _count_maps(P, Q, induced, injective, deadline=None, visit=None, fixed_by=No
     Candidates are tried lowest element first, so leaves are reached in
     lexicographic order of assignment vectors.  When visit is given, it
     is called with the assignment at every leaf, and the leaf counts only
-    if it returns a true value.  When fixed_by is an automorphism g of P
-    (a tuple as from automorphism_maps), only maps f with f∘g = f count.
+    if it returns a true value.  When fixed_by gives the cycle leaders of
+    an automorphism g (see _cycle_leaders), only maps f with f∘g = f count.
     """
     k, n = P.n, Q.n
     if injective and fixed_by is not None and fixed_by != tuple(range(1, k + 1)):
@@ -64,11 +66,11 @@ def _count_maps(P, Q, induced, injective, deadline=None, visit=None, fixed_by=No
                 row.append((u, incomparable))
         constraints.append(row)
     if fixed_by is not None:
-        # f(v) = f(g(v)), checked at whichever of the two is assigned later
+        # f(v) = f(leader of v), checked at v: the leader is assigned first
         same = [1 << j for j in range(n)]
-        ties = {(min(v, img - 1), max(v, img - 1)) for v, img in enumerate(fixed_by) if img - 1 != v}
-        for u, v in sorted(ties):
-            constraints[v].append((u, same))
+        for v, lead in enumerate(fixed_by):
+            if lead - 1 != v:
+                constraints[v].append((lead - 1, same))
     assignment = [0] * k
     count = 0
     nodes = 0
@@ -113,6 +115,16 @@ def automorphism_maps(P):
     return out
 
 
+def _cycle_leaders(g):
+    """Each element's cycle leader under g: the least element of its cycle."""
+    leaders = [0] * len(g)
+    for v in range(len(g)):
+        u = v
+        while not leaders[u]:
+            leaders[u], u = v + 1, g[u] - 1
+    return tuple(leaders)
+
+
 def _is_orbit_minimum(P):
     """Predicate on assignments: true iff the assignment is the
     lexicographically least member of its orbit under precomposition
@@ -155,11 +167,12 @@ def count_occurrences(P, Q, flavor, deadline=None):
     Labeled counts come straight from backtracking.  Unlabeled counts are
     orbits under precomposition with Aut(P), counted by Burnside's lemma:
     the sum over automorphisms g of the maps f with f∘g = f, divided by
-    |Aut(P)|.  An injective map is fixed by the identity alone.  The
-    deadline is checked as each search starts and every 4,096 nodes.
+    |Aut(P)|.  The deadline is checked as each search starts and every
+    4,096 nodes.
     """
-    group = automorphism_maps(P) if flavor.unlabeled else [None]
-    total = sum(_count_maps(P, Q, flavor.induced, flavor.injective, deadline, fixed_by=g) for g in group)
+    group = automorphism_maps(P) if flavor.unlabeled else [tuple(range(1, P.n + 1))]
+    total = sum(weight * _count_maps(P, Q, flavor.induced, flavor.injective, deadline, fixed_by=leaders)
+                for leaders, weight in Counter(map(_cycle_leaders, group)).items())
     if total % len(group):
         raise errors.ConstraintError("Burnside sum %d over %d automorphisms" % (total, len(group)))
     return total // len(group)
@@ -184,18 +197,16 @@ def match_permutation(sigma_P, sigma_Q, induced):
 def count_chain_occurrences(k, Q):
     """Number of k-element chains of Q, by dynamic programming.
 
-    c_j(v) = sum of c_{j-1}(u) over u < v, evaluated along a linear
-    extension; polynomial in |Q| and k.
+    c_j(v) = sum of c_{j-1}(u) over u < v; each round reads only the
+    last, so no element order is needed.  Polynomial in |Q| and k.
     """
     if k < 1:
         raise errors.RangeError("chain length must be >= 1")
     n = Q.n
-    # Sorting by predecessor count is a linear extension of a closed order.
-    order = sorted(range(n), key=lambda i: bin(Q.down[i]).count("1"))
     prev = [1] * n
     for _ in range(k - 1):
         cur = [0] * n
-        for i in order:
+        for i in range(n):
             row = Q.down[i]
             total = 0
             while row:

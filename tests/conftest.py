@@ -16,6 +16,14 @@ def random_poset(rng, n, prob=None):
     return poset_from_relations(n, pairs)
 
 
+def relabel(rng, P):
+    """P with its elements renamed by a seeded random permutation, so the
+    labels need not be a linear extension."""
+    perm = list(range(1, P.n + 1))
+    rng.shuffle(perm)
+    return poset_from_relations(P.n, [(perm[a - 1], perm[b - 1]) for a, b in P.relations()])
+
+
 def staircase(steps):
     """sigma = 1, then alternately sigma (+) 21 and sigma (-) 12, steps
     times: the Gallai tree of D(sigma) alternates series and parallel

@@ -28,7 +28,7 @@ from posetmatch import (
 from posetmatch.errors import MemoryBudgetError, RangeError, SizeLimitError
 from posetmatch.lecount import count_automorphisms_bruteforce, count_le_bruteforce
 
-from conftest import random_poset
+from conftest import random_poset, relabel
 
 
 def brute_downsets(P):
@@ -63,26 +63,28 @@ def test_lattice_antichain():
 def test_lattice_matches_brute(rng):
     for _ in range(20):
         P = random_poset(rng, rng.randint(1, 7))
-        lat = downset_lattice(P, dilworth(P))
-        chains = lat.chain_assignment.chains
-        got = {key_to_set(k, chains) for k in lat.nodes}
-        assert got == set(brute_downsets(P))
-        assert len(got) == len(lat.nodes)
+        for R in (P, relabel(rng, P)):
+            lat = downset_lattice(R, dilworth(R))
+            chains = lat.chain_assignment.chains
+            got = {key_to_set(k, chains) for k in lat.nodes}
+            assert got == set(brute_downsets(R))
+            assert len(got) == len(lat.nodes)
 
 
 def test_lattice_predecessors_drop_one_element(rng):
     for _ in range(10):
         P = random_poset(rng, rng.randint(0, 7))
-        lat = downset_lattice(P, dilworth(P))
-        chains = lat.chain_assignment.chains
-        keys = {key_to_set(key, chains): key for key in lat.nodes}
-        for key, preds in lat.nodes.items():
-            S = key_to_set(key, chains)
-            for prev in preds:
-                T = key_to_set(prev, chains)
-                assert len(S - T) == 1 and T < S
-            maximal = [x for x in S if not any(P.less(x, y) for y in S)]
-            assert preds == sorted(keys[S - {x}] for x in maximal)
+        for R in (P, relabel(rng, P)):
+            lat = downset_lattice(R, dilworth(R))
+            chains = lat.chain_assignment.chains
+            keys = {key_to_set(key, chains): key for key in lat.nodes}
+            for key, preds in lat.nodes.items():
+                S = key_to_set(key, chains)
+                for prev in preds:
+                    T = key_to_set(prev, chains)
+                    assert len(S - T) == 1 and T < S
+                maximal = [x for x in S if not any(R.less(x, y) for y in S)]
+                assert preds == sorted(keys[S - {x}] for x in maximal)
 
 
 def test_lattice_as_poset_is_containment(rng):
@@ -122,8 +124,9 @@ def test_le_engines_agree(rng):
     for _ in range(40):
         P = random_poset(rng, rng.randint(1, 8))
         expected = count_le_bruteforce(P)
-        assert count_le_downset_dp(P) == expected
-        assert count_linear_extensions(P) == expected
+        for R in (P, relabel(rng, P)):
+            assert count_le_downset_dp(R) == expected
+            assert count_linear_extensions(R) == expected
 
 
 def test_le_disjoint_chains_closed_form():

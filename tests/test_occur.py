@@ -91,6 +91,15 @@ def test_unlabeled_count_honours_a_passed_deadline():
                               deadline=time.monotonic() - 1)
 
 
+@pytest.mark.parametrize("k, m", [(8, 2), (7, 3), (6, 4)])
+def test_unlabeled_antichain_in_antichain_is_multisets(k, m):
+    # orbits of all maps antichain(k) -> antichain(m) under the k! relabelings
+    # are the multisets of size k drawn from m elements
+    for induced in (False, True):
+        flavor = OccurrenceFlavor(induced=induced, injective=False, unlabeled=True)
+        assert count_occurrences(antichain(k), antichain(m), flavor) == comb(m + k - 1, k)
+
+
 def test_automorphisms_match_brute(rng):
     for _ in range(40):
         P = random_poset(rng, rng.randint(1, 6))
