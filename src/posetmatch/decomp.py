@@ -3,7 +3,10 @@
 The decomposition follows Gallai's trichotomy: a poset on two or more
 elements is parallel when its comparability graph is disconnected, series
 when the complement is disconnected, and prime otherwise, in which case
-the maximal proper strong modules partition the ground set.
+the maximal proper strong modules partition the ground set.  These
+classes come from one vertex partition refinement into the maximal
+modules avoiding the least element x (Ehrenfeucht, Gabow, McConnell and
+Sullivan 1994): each such module is a class or lies in x's class.
 """
 
 from dataclasses import dataclass, field
@@ -138,22 +141,33 @@ def _split(P, scope):
         cocomps.sort(key=lambda m: (P.down[(m & -m).bit_length() - 1] & scope).bit_count())
         return "series", cocomps, None
 
-    # Prime: members of the same maximal proper strong module as x are
-    # exactly those y for which the minimal module containing {x, y} is
-    # proper (every proper module of a prime poset sits inside one class).
-    unassigned = scope
-    classes = []
-    while unassigned:
-        xbit = unassigned & -unassigned
-        cls = xbit
-        probe = unassigned & ~xbit
-        while probe:
-            ybit = probe & -probe
-            probe &= probe - 1
-            if _min_module(P, xbit | ybit, scope) != scope:
-                cls |= ybit
-        classes.append(cls)
-        unassigned &= ~cls
+    # Prime: refine scope - {x}, x its least element, into its maximal
+    # modules avoiding x.  A splitter z cuts each part without z into its
+    # members above, below and incomparable to z; the members of a part
+    # that splits are splitters again.  Every proper module lies in one
+    # class, so a part outside x's class is a whole class, and a part joins
+    # x's class iff the minimal module holding it and x is proper.
+    xbit = scope & -scope
+    open_parts, done = [scope & ~xbit], []  # parts of two or more, singletons
+    splitters = scope
+    while splitters and open_parts:
+        z = (splitters & -splitters).bit_length() - 1
+        splitters &= splitters - 1
+        cut = []
+        for part in open_parts:
+            up, down = part & P.up[z], part & P.down[z]
+            pieces = [part] if part >> z & 1 else [p for p in (up, down, part & ~(up | down)) if p]
+            if len(pieces) > 1:
+                splitters |= part
+            for p in pieces:
+                (cut if p & (p - 1) else done).append(p)
+        open_parts = cut
+    parts = sorted(open_parts + done, key=lambda m: m & -m)
+    cls = xbit
+    for part in parts:
+        if _min_module(P, xbit | part, scope) != scope:
+            cls |= part
+    classes = [cls] + [part for part in parts if not part & cls]
     if len(classes) < 4:
         raise ConstraintError("prime node with %d children" % len(classes))
     return "prime", classes, restrict(P, [(m & -m).bit_length() for m in classes])
@@ -191,7 +205,9 @@ def fold_tree(tree, fold):
 def quotient(P, parts):
     """Poset on the given module partition; blocks are checked."""
     seen = 0
-    for part in parts:
+    for i, part in enumerate(parts, 1):
+        if not part:
+            raise NotAModuleError("block %d is empty" % i)
         if not is_module(P, part):
             raise NotAModuleError("block %r is not a module" % (sorted(part),))
         for x in part:

@@ -32,18 +32,18 @@ __all__ = [
 ]
 
 
-def _count_maps(P, Q, induced, injective, deadline=None, visit=None, fixed_by=None):
+def _count_maps(P, Q, induced, injective, deadline=None, visit=None, classes=None):
     """Count occurrence maps by backtracking with bitmask candidate sets.
 
     Candidates are tried lowest element first, so leaves are reached in
     lexicographic order of assignment vectors.  When visit is given, it
     is called with the assignment at every leaf, and the leaf counts only
-    if it returns a true value.  When fixed_by gives the cycle leaders of
-    an automorphism g (see _cycle_leaders), only maps f with f∘g = f count.
+    if it returns a true value.  When classes maps the cycle leaders of
+    automorphisms g (see _cycle_leaders) to weights, the result is the
+    weighted sum over them of the maps f with f∘g = f; the constraint
+    table is built once, and each class only adds its ties.
     """
     k, n = P.n, Q.n
-    if injective and fixed_by is not None and fixed_by != tuple(range(1, k + 1)):
-        return 0  # f∘g = f forces f(v) = f(g(v)) for some g(v) != v
     # one frame per pattern element, and 100 left for the callers
     if k + 100 > sys.getrecursionlimit():
         raise errors.SizeLimitError("a %d-element pattern is too deep for the recursion limit of %d"
@@ -52,9 +52,9 @@ def _count_maps(P, Q, induced, injective, deadline=None, visit=None, fixed_by=No
     incomparable = None
     if induced:
         incomparable = [full & ~(Q.up[j] | Q.down[j]) | (1 << j) for j in range(n)]
-    # constraints[v]: (u, rows) for each earlier u; the image of v must lie
-    # in rows[image of u], the text elements related to it as v is to u
-    constraints = []
+    # table[v]: (u, rows) for each earlier u; the image of v must lie in
+    # rows[image of u], the text elements related to it as v is to u
+    table = []
     for v in range(k):
         row = []
         for u in range(v):
@@ -64,16 +64,10 @@ def _count_maps(P, Q, induced, injective, deadline=None, visit=None, fixed_by=No
                 row.append((u, Q.down))
             elif induced:
                 row.append((u, incomparable))
-        constraints.append(row)
-    if fixed_by is not None:
-        # f(v) = f(leader of v), checked at v: the leader is assigned first
-        same = [1 << j for j in range(n)]
-        for v, lead in enumerate(fixed_by):
-            if lead - 1 != v:
-                constraints[v].append((lead - 1, same))
+        table.append(row)
+    identity = tuple(range(1, k + 1))
+    same = [1 << j for j in range(n)]
     assignment = [0] * k
-    count = 0
-    nodes = 0
 
     def extend(v, used):
         nonlocal count, nodes
@@ -98,8 +92,17 @@ def _count_maps(P, Q, induced, injective, deadline=None, visit=None, fixed_by=No
             cand &= cand - 1
         assignment[v] = 0
 
-    extend(0, 0)
-    return count
+    total = 0
+    for leaders, weight in (classes or {identity: 1}).items():
+        if injective and leaders != identity:
+            continue  # f∘g = f forces f(v) = f(g(v)) for some g(v) != v
+        # f(v) = f(leader of v), checked at v: the leader is assigned first
+        constraints = [row + [(lead - 1, same)] if lead - 1 != v else row
+                       for v, (row, lead) in enumerate(zip(table, leaders))]
+        count = nodes = 0
+        extend(0, 0)
+        total += weight * count
+    return total
 
 
 def automorphism_maps(P):
@@ -171,8 +174,8 @@ def count_occurrences(P, Q, flavor, deadline=None):
     4,096 nodes.
     """
     group = automorphism_maps(P) if flavor.unlabeled else [tuple(range(1, P.n + 1))]
-    total = sum(weight * _count_maps(P, Q, flavor.induced, flavor.injective, deadline, fixed_by=leaders)
-                for leaders, weight in Counter(map(_cycle_leaders, group)).items())
+    total = _count_maps(P, Q, flavor.induced, flavor.injective, deadline,
+                        classes=Counter(map(_cycle_leaders, group)))
     if total % len(group):
         raise errors.ConstraintError("Burnside sum %d over %d automorphisms" % (total, len(group)))
     return total // len(group)

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from posetmatch import OccurrenceFlavor, Permutation, is_occurrence, poset_from_relations
+from posetmatch import OccurrenceFlavor, Permutation, is_occurrence, poset_from_relations, restrict
+from posetmatch.decomp import _min_module
 
 
 def random_poset(rng, n, prob=None):
@@ -36,6 +37,46 @@ def staircase(steps):
         else:
             img = [v + 2 for v in img] + [1, 2]
     return Permutation(img)
+
+
+def pairwise_gallai(P, elements=None):
+    """The strong-module tree of P as nested (kind, elements, children,
+    quotient), built by definition: components of the comparability graph
+    and of its complement, and prime classes by the pairwise scan, in
+    which y joins the class of x iff the minimal module holding x and y
+    is proper."""
+    elements = tuple(range(1, P.n + 1)) if elements is None else elements
+    if len(elements) == 1:
+        return ("leaf", elements, [], None)
+
+    def components(linked):
+        out, left = [], list(elements)
+        while left:
+            comp, stack = {left[0]}, [left[0]]
+            while stack:
+                a = stack.pop()
+                for b in left:
+                    if b not in comp and linked(a, b):
+                        comp.add(b)
+                        stack.append(b)
+            out.append(tuple(sorted(comp)))
+            left = [b for b in left if b not in comp]
+        return out
+
+    kind, parts, quot = "parallel", components(P.comparable), None
+    if len(parts) == 1:
+        kind, parts = "series", components(lambda a, b: not P.comparable(a, b))
+        parts.sort(key=lambda part: sum(P.less(b, part[0]) for b in elements))
+    if len(parts) == 1:
+        kind, parts, left = "prime", [], list(elements)
+        scope = sum(1 << (e - 1) for e in elements)
+        while left:
+            x = left[0]
+            parts.append(tuple(y for y in left if y == x or
+                               _min_module(P, 1 << (x - 1) | 1 << (y - 1), scope) != scope))
+            left = [y for y in left if y not in parts[-1]]
+        quot = restrict(P, [part[0] for part in parts])
+    return (kind, elements, [pairwise_gallai(P, part) for part in parts], quot)
 
 
 def brute_automorphisms(P):

@@ -18,7 +18,8 @@ from posetmatch import (
 from posetmatch.decomp import reconstruct, tree_to_sexpr
 from posetmatch.errors import NotAModuleError, RangeError
 
-from conftest import random_poset
+from conftest import pairwise_gallai, random_poset, relabel
+from posetmatch import decomp
 
 
 def brute_modules(P):
@@ -116,6 +117,59 @@ def test_prime_quotients_have_no_nontrivial_module(rng):
                     assert not is_module(q, sub)
 
 
+def assert_matches_pairwise(P):
+    stack = [(gallai_tree(P), pairwise_gallai(P))]
+    while stack:
+        node, (kind, elements, children, quot) = stack.pop()
+        assert (node.kind, node.elements, node.quotient) == (kind, elements, quot)
+        assert [child.elements for child in node.children] == [child[1] for child in children]
+        stack.extend(zip(node.children, children))
+
+
+def substitute(Q, blocks):
+    """Q with element i replaced by the poset blocks[i - 1]."""
+    offsets = [sum(b.n for b in blocks[:i]) for i in range(len(blocks) + 1)]
+    pairs = [(offsets[i] + a, offsets[i] + b) for i, block in enumerate(blocks) for a, b in block.relations()]
+    for a, b in Q.relations():
+        pairs += [(offsets[a - 1] + u, offsets[b - 1] + v)
+                  for u in range(1, blocks[a - 1].n + 1) for v in range(1, blocks[b - 1].n + 1)]
+    return poset_from_relations(offsets[-1], pairs)
+
+
+def test_gallai_matches_pairwise_class_search(rng):
+    for i in range(240):
+        P = random_poset(rng, rng.randint(1, 12))
+        assert_matches_pairwise(relabel(rng, P) if i % 2 else P)
+
+
+def test_gallai_matches_pairwise_on_inflated_primes(rng):
+    # the least element's class is the first block, of two to four
+    # elements; relabeled, that element may sit inside any block, so that
+    # the refinement splits its class into several parts
+    for img in ([2, 4, 1, 3], [2, 5, 3, 1, 4]):
+        Q = poset_from_permutation(Permutation(img))
+        for _ in range(30):
+            blocks = [rng.choice((chain, antichain))(rng.randint(1, 4)) for _ in img]
+            blocks[0] = rng.choice((chain, antichain))(rng.randint(2, 4))
+            P = substitute(Q, blocks)
+            assert_matches_pairwise(P)
+            assert_matches_pairwise(relabel(rng, P))
+            root = gallai_tree(P)
+            assert root.kind == "prime" and len(root.children) == len(img)
+            assert root.children[0].elements == tuple(range(1, blocks[0].n + 1))
+
+
+def test_prime_class_search_makes_linear_min_module_calls(rng, monkeypatch):
+    # the pairwise scan made about n^2 / 2 calls on a prime D(sigma)
+    calls = []
+    counted = decomp._min_module
+    monkeypatch.setattr(decomp, "_min_module", lambda *args: calls.append(1) or counted(*args))
+    img = list(range(1, 61))
+    rng.shuffle(img)
+    gallai_tree(poset_from_permutation(Permutation(img)))
+    assert 0 < len(calls) <= 60
+
+
 def test_quotient_examples():
     assert quotient(chain(4), [{1, 2}, {3, 4}]) == chain(2)
     assert quotient(antichain(4), [{1, 2}, {3, 4}]) == antichain(2)
@@ -125,6 +179,8 @@ def test_quotient_examples():
         quotient(poset_from_permutation(Permutation([2, 3, 1])), [{2, 3}, {1}])
     with pytest.raises(NotAModuleError):
         quotient(chain(3), [{1, 2}])
+    with pytest.raises(NotAModuleError, match="block 1 is empty"):
+        quotient(chain(3), [set(), {1, 2, 3}])
 
 
 def test_dilworth_examples():
