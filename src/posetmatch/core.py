@@ -193,13 +193,15 @@ def restrict(P, subset):
     for x in elems:
         if not 1 <= x <= P.n:
             raise RangeError("element %r outside 1..%d" % (x, P.n))
-    k = len(elems)
-    up = [0] * k
-    for i in range(k):
-        for j in range(k):
-            if i != j and P.less(elems[i], elems[j]):
-                up[i] |= 1 << j
-    return Poset(k, up)
+    index = {x - 1: j for j, x in enumerate(elems)}
+    keep = sum(1 << i for i in index)
+    up = [0] * len(elems)
+    for i, j in index.items():
+        row = P.up[i] & keep
+        while row:
+            up[j] |= 1 << index[(row & -row).bit_length() - 1]
+            row &= row - 1
+    return Poset(len(elems), up)
 
 
 def is_occurrence(f, P, Q, flavor):

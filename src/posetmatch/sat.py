@@ -8,13 +8,13 @@ matches of pi in tau two independent ways and compares with exhaustive
 #SAT.
 """
 
+import functools
 import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
-from .core import OccurrenceFlavor, Permutation, is_occurrence, poset_from_permutation
+from .core import OccurrenceFlavor, Permutation, poset_from_permutation
 from .errors import (
     ArityError,
     ConstraintError,
@@ -256,55 +256,20 @@ def count_satisfying(f):
     return count
 
 
-def _structured_candidates(f):
-    """Candidate matches indexed by (r, s) vectors.
-
-    r_i in {0,1} picks which bracket of tau^x_i hosts pi^x_i; s_i in
-    0..6 picks the row of tau^C_i hosting pi^C_i.  Positions are forced:
-    brackets and rows have exactly the right number of interior slots.
-    """
-    n, m = f.n, f.m
-    for r in product((0, 1), repeat=n):
-        base_x = []
-        for i in range(1, n + 1):
-            start = 8 * (i - 1) + 4 * r[i - 1]  # 0-based start of the bracket
-            base_x.append((start, start + 1, start + 2, start + 3))
-        for s in product(range(7), repeat=m):
-            assignment = []
-            for quad in base_x:
-                assignment.extend(p + 1 for p in quad)
-            for i in range(1, m + 1):
-                start = 8 * n + 35 * (i - 1) + 5 * s[i - 1]
-                assignment.extend(p + 1 for p in range(start, start + 5))
-            yield r, s, tuple(assignment)
-
-
 def _block_local(f, assignment):
     """True iff each pattern block lands inside its own text block."""
-    n, m = f.n, f.m
-    pos = 0
-    for i in range(n):
-        lo, hi = 8 * i + 1, 8 * (i + 1)
-        for _ in range(4):
-            if not lo <= assignment[pos] <= hi:
-                return False
-            pos += 1
-    for i in range(m):
-        lo, hi = 8 * n + 35 * i + 1, 8 * n + 35 * (i + 1)
-        for _ in range(5):
-            if not lo <= assignment[pos] <= hi:
-                return False
-            pos += 1
-    return True
+    spans = [(8 * i, 8) for i in range(f.n) for _ in range(4)]
+    spans += [(8 * f.n + 35 * i, 35) for i in range(f.m) for _ in range(5)]
+    return all(lo < q <= lo + size for (lo, size), q in zip(spans, assignment))
 
 
 def verify_reduction(f, method="structured", timeout=60.0):
     """Count matches of the gadget and compare with #SAT.
 
     method="backtrack" runs the occurrence counter on D(pi), D(tau)
-    (non-induced, injective, unlabeled); method="structured" enumerates
-    the (r, s)-indexed candidate maps and validates each one, recording
-    which pairs matched and whether every match is induced and
+    (non-induced, injective, unlabeled); method="structured" searches
+    the (r, s)-indexed candidate maps block by block (_search_blocks),
+    recording which pairs matched and whether every match is induced and
     block-local.  Either method raises TimeoutError once timeout seconds
     have passed; timeout=None sets no deadline.
     """
@@ -320,18 +285,51 @@ def verify_reduction(f, method="structured", timeout=60.0):
     if method == "backtrack":
         flavor = OccurrenceFlavor(induced=False, injective=True, unlabeled=True)
         return VerifyReport(method, count_occurrences(P, Q, flavor, deadline=deadline), sat)
-    plain = OccurrenceFlavor(induced=False, injective=True)
-    induced = OccurrenceFlavor(induced=True, injective=True)
-    pairs = []
-    all_induced = True
-    all_local = True
-    for r, s, assignment in _structured_candidates(f):
+    pairs, all_induced, all_local = _search_blocks(f, P, Q, deadline)
+    return VerifyReport(method, len(pairs), sat, pairs, all_induced, all_local)
+
+
+def _search_blocks(f, P, Q, deadline):
+    """(pairs, all_induced, all_block_local) over f's structured candidates.
+
+    Variable block i of P goes to bracket r_i in {0,1} of tau^x_i, clause
+    block i to row s_i in 0..6 of tau^C_i.  Each pair of pattern elements
+    lies in one block or pair of blocks, whose table entry (cached, 2^16 at
+    most) says if the map preserves its order (1), also reflects it (2) or
+    neither (0).  A depth-first search over the blocks, choices ascending,
+    meets (r, s) in product order and cuts a prefix at its first 0.
+    """
+    n = f.n
+    blocks = [(4 * i, 4, (8 * i, 8 * i + 4)) for i in range(n)]
+    blocks += [(4 * n + 5 * i, 5, range(8 * n + 35 * i, 8 * n + 35 * (i + 1), 5)) for i in range(f.m)]
+
+    @functools.lru_cache(maxsize=1 << 16)
+    def entry(b, c, b2, c2):
+        out = 2
+        for (start, size, hosts), k, (start2, size2, hosts2), k2 in (
+                (blocks[b], c, blocks[b2], c2), (blocks[b2], c2, blocks[b], c)):
+            for j in range(size):
+                want = P.up[start + j] >> start2 & (1 << size2) - 1
+                got = Q.up[hosts[k] + j] >> hosts2[k2] & (1 << size2) - 1
+                if want & ~got:
+                    return 0
+                if want != got:
+                    out = 1
+        return out
+
+    pairs, all_induced, all_local = [], True, True
+    stack = [((), 2)]  # (prefix, least entry on it), the next to expand last
+    while stack:
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("structured verification exceeded its deadline")
-        if is_occurrence(assignment, P, Q, plain):
-            pairs.append((r, s))
-            if not is_occurrence(assignment, P, Q, induced):
-                all_induced = False
-            if not _block_local(f, assignment):
-                all_local = False
-    return VerifyReport(method, len(pairs), sat, tuple(pairs), all_induced, all_local)
+        p, low = stack.pop()
+        if len(p) == len(blocks):
+            pairs.append((p[:n], p[n:]))
+            all_induced = all_induced and low == 2
+            all_local = all_local and _block_local(f, [
+                hosts[k] + j + 1 for (_, size, hosts), k in zip(blocks, p) for j in range(size)])
+            continue
+        grown = [(p + (c,), min([low] + [entry(len(p), c, b, k) for b, k in enumerate(p + (c,))]))
+                 for c in range(len(blocks[len(p)][2]))]
+        stack += [child for child in reversed(grown) if child[1]]
+    return tuple(pairs), all_induced, all_local

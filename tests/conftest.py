@@ -6,6 +6,7 @@ import pytest
 
 from posetmatch import OccurrenceFlavor, Permutation, is_occurrence, poset_from_relations, restrict
 from posetmatch.decomp import _min_module
+from posetmatch.sat import _block_local
 
 
 def random_poset(rng, n, prob=None):
@@ -101,6 +102,30 @@ def brute_occurrences(P, Q, flavor):
                 continue
         out.append(assignment)
     return out
+
+
+def structured_scan(f, P, Q):
+    """The structured verifier's answer by checking each candidate map on
+    its own, in product order over the (r, s) vectors: r_i picks the
+    bracket of tau^x_i hosting pi^x_i, s_i the row of tau^C_i hosting
+    pi^C_i.  Returns (pairs, all_induced, all_block_local)."""
+    n, m = f.n, f.m
+    plain = OccurrenceFlavor(induced=False, injective=True)
+    induced = OccurrenceFlavor(induced=True, injective=True)
+    pairs, all_induced, all_local = [], True, True
+    for r in itertools.product((0, 1), repeat=n):
+        for s in itertools.product(range(7), repeat=m):
+            assignment = []
+            for i in range(n):
+                assignment += range(8 * i + 4 * r[i] + 1, 8 * i + 4 * r[i] + 5)
+            for i in range(m):
+                start = 8 * n + 35 * i + 5 * s[i]
+                assignment += range(start + 1, start + 6)
+            if is_occurrence(assignment, P, Q, plain):
+                pairs.append((r, s))
+                all_induced = all_induced and is_occurrence(assignment, P, Q, induced)
+                all_local = all_local and _block_local(f, assignment)
+    return tuple(pairs), all_induced, all_local
 
 
 @pytest.fixture

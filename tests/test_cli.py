@@ -225,6 +225,18 @@ def test_sat_verify_timeout_exit_code(tmp_path):
     assert code == 3 and "error:" in err
 
 
+def test_sat_verify_structured_reordered_slots(tmp_path):
+    cnf = write(tmp_path, "f.cnf", "p cnf 3 3\n1 2 3 0\n3 1 2 0\n2 -3 1 0\n")
+    assert invoke(["sat-verify", cnf, "--method", "structured"]) == (
+        0, "matches=0 sat=6 verdict=FAIL\n", "")
+
+
+def test_sat_verify_structured_timeout_exit_code(tmp_path):
+    cnf = write(tmp_path, "f.cnf", "p cnf 1 1\n1 1 1 0\n")
+    code, out, err = invoke(["sat-verify", cnf, "--method", "structured", "--timeout", "1e-9"])
+    assert (code, out) == (3, "") and err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_sat_verify_timeout_must_bound(tmp_path):
     cnf = write(tmp_path, "f.cnf", "p cnf 1 1\n1 1 1 0\n")
     for value in ("0", "-1", "nan", "inf", "abc"):

@@ -98,6 +98,20 @@ def test_restrict_is_functorial(rng):
         assert composed == direct
 
 
+def test_restrict_matches_pairwise_reference(rng):
+    # reference: the relation read pair by pair through P.less
+    for _ in range(200):
+        n = rng.randint(0, 12)
+        P = random_poset(rng, n)
+        subset = [rng.randint(1, n) for _ in range(rng.randint(0, 2 * n))] if n else []
+        elems = sorted(set(subset))
+        want = poset_from_relations(len(elems), [
+            (i + 1, j + 1) for i, a in enumerate(elems) for j, b in enumerate(elems) if P.less(a, b)])
+        assert restrict(P, subset) == want
+        assert restrict(P, subset + subset[:3]) == want
+    assert restrict(chain(4), []) == antichain(0)
+
+
 def test_is_occurrence_examples():
     flavors = [OccurrenceFlavor(i, j, u) for i in (0, 1) for j in (0, 1) for u in (0, 1)]
     for flavor in flavors:

@@ -6,9 +6,11 @@ import pytest
 
 from posetmatch import (
     Cnf3,
+    Permutation,
     build_gadget,
     count_satisfying,
     parse_dimacs,
+    poset_from_permutation,
     verify_reduction,
 )
 from posetmatch.errors import (
@@ -18,10 +20,18 @@ from posetmatch.errors import (
     SizeLimitError,
     TimeoutError,
 )
+from posetmatch.sat import VerifyReport, _search_blocks
+
+from conftest import structured_scan
 
 F1 = "p cnf 1 1\n1 1 1 0\n"
 F2 = "p cnf 1 2\n1 1 1 0\n-1 -1 -1 0\n"
 F3 = "p cnf 2 1\n1 2 2 0\n"
+# m = 3 with each clause listing its variables in its own slot order
+REORDERED = ("p cnf 3 3\n1 2 3 0\n3 1 2 0\n2 -3 1 0\n", "p cnf 3 3\n1 -2 3 0\n2 3 1 0\n-3 1 2 0\n")
+# clauses that repeat a variable, and one slot order shared by all clauses
+REPEATS = ("p cnf 2 2\n1 1 1 0\n2 2 -1 0\n", "p cnf 3 2\n1 1 1 0\n-2 3 3 0\n",
+           "p cnf 3 3\n1 2 3 0\n1 2 3 0\n-1 2 3 0\n")
 
 
 def random_cnf(rng, n, m):
@@ -32,6 +42,30 @@ def random_cnf(rng, n, m):
         vars_ = [rng.randint(1, n) for _ in range(3)]
         clauses.append(tuple((v, polarity[v]) for v in vars_))
     return Cnf3(n, tuple(clauses))
+
+
+def seeded_cnfs(max_n, max_m, count=30):
+    """Criterion 8's seeded formulas (seed 808, n <= 3, m <= 2) with the
+    bounds on n and m as parameters."""
+    rng = random.Random(808)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, max_n)
+        m = rng.randint(1, max_m)
+        polarity = {v: rng.random() < 0.5 for v in range(1, n + 1)}
+        clauses = tuple(
+            tuple((v, polarity[v]) for v in (rng.randint(1, n) for _ in range(3)))
+            for _ in range(m))
+        out.append(Cnf3(n, clauses))
+    return out
+
+
+def scanned_report(f):
+    """The structured report as the candidate-by-candidate scan gives it."""
+    g = build_gadget(f)
+    pairs, induced, local = structured_scan(
+        f, poset_from_permutation(g.pattern), poset_from_permutation(g.text))
+    return VerifyReport("structured", len(pairs), count_satisfying(f), pairs, induced, local)
 
 
 # --- parsing ----------------------------------------------------------------
@@ -170,6 +204,46 @@ def test_structured_pairs_are_within_range():
         assert len(s) == f.m and all(0 <= x <= 6 for x in s)
 
 
+def test_structured_report_equals_candidate_scan():
+    corpus = [parse_dimacs(t) for t in (F1, F2, F3) + REORDERED + REPEATS] + seeded_cnfs(3, 2)
+    for f in corpus:
+        assert verify_reduction(f, method="structured", timeout=None) == scanned_report(f), f
+
+
+def test_block_search_on_perturbed_texts():
+    # every swap of two adjacent text values: some cut matches (pruning),
+    # some add a relation under a match and so make it non-induced
+    fewer = non_induced = 0
+    for text in (F1, F2, F3):
+        f = parse_dimacs(text)
+        g = build_gadget(f)
+        P = poset_from_permutation(g.pattern)
+        base = len(_search_blocks(f, P, poset_from_permutation(g.text), None)[0])
+        for v in range(1, g.text.n):
+            img = [v + 1 if x == v else v if x == v + 1 else x for x in g.text.img]
+            Q = poset_from_permutation(Permutation(img))
+            got = _search_blocks(f, P, Q, None)
+            assert got == structured_scan(f, P, Q), (text, v)
+            fewer += len(got[0]) < base
+            non_induced += not got[1]
+    assert fewer and non_induced
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 4: build_gadget puts every t/f value inside (2a, 2a+1), which lies in "
+    "both T_a and F_a, so no row choice is tied to a bracket choice; the unsatisfiable "
+    "p cnf 1 2 / 1 1 1 0 / -1 -1 -1 0 gets 98 matches and p cnf 3 2 / 1 2 3 0 / 3 2 1 0 "
+    "gets 0 against sat = 7"))
+def test_matches_decide_satisfiability():
+    corpus = [parse_dimacs(t) for t in (F1, F2, F3, "p cnf 3 2\n1 2 3 0\n3 2 1 0\n")]
+    wrong = []
+    for f in corpus + seeded_cnfs(4, 3):
+        report = verify_reduction(f, method="structured", timeout=None)
+        if (report.matches > 0) != (report.sat > 0):
+            wrong.append((f, report.matches, report.sat))
+    assert not wrong, "%d of %d formulas, first %r" % (len(wrong), len(corpus) + 30, wrong[0])
+
+
 def test_verify_bad_method():
     with pytest.raises(ValueError):
         verify_reduction(parse_dimacs(F1), method="guess")
@@ -184,6 +258,8 @@ def test_timeout_none_is_the_only_unbounded_value():
     f = parse_dimacs(F1)
     with pytest.raises(TimeoutError):
         verify_reduction(f, method="structured", timeout=0)
+    with pytest.raises(TimeoutError):
+        verify_reduction(Cnf3(0, ()), method="structured", timeout=0)
     for value in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             verify_reduction(f, timeout=value)
