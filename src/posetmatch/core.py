@@ -38,16 +38,20 @@ class Poset:
 
     __slots__ = ("n", "up", "down", "_hash")
 
-    def __init__(self, n, up):
+    def __init__(self, n, up, down=None):
+        """down, when the caller already has it, must be the transpose of
+        up (bit i of down[j] set iff bit j of up[i] is); otherwise it is
+        derived here."""
         self.n = n
         self.up = tuple(up)
-        down = [0] * n
-        for i in range(n):
-            row = self.up[i]
-            while row:
-                j = (row & -row).bit_length() - 1
-                down[j] |= 1 << i
-                row &= row - 1
+        if down is None:
+            down = [0] * n
+            for i in range(n):
+                row = self.up[i]
+                while row:
+                    j = (row & -row).bit_length() - 1
+                    down[j] |= 1 << i
+                    row &= row - 1
         self.down = tuple(down)
         self._hash = hash((n, self.up))
 
@@ -175,16 +179,18 @@ def poset_from_relations(n, pairs):
 def poset_from_permutation(sigma):
     """The dimension-<=2 poset D(sigma): i < j and sigma(i) < sigma(j)."""
     n = sigma.n
-    up = [0] * n
-    img = sigma.img
-    for i in range(n):
-        vi = img[i]
-        row = 0
-        for j in range(i + 1, n):
-            if img[j] > vi:
-                row |= 1 << j
-        up[i] = row
-    return Poset(n, up)
+    by_value = sorted(range(n), key=sigma.img.__getitem__)
+    up, down = [0] * n, [0] * n
+    # one sweep over the values each way, holding the positions of the values seen
+    above = 0
+    for i in reversed(by_value):
+        up[i] = above >> (i + 1) << (i + 1)
+        above |= 1 << i
+    below = 0
+    for i in by_value:
+        down[i] = below & ((1 << i) - 1)
+        below |= 1 << i
+    return Poset(n, up, down)
 
 
 def restrict(P, subset):

@@ -1,10 +1,14 @@
 """Occurrence enumeration and counting for every flavor.
 
 One pruned backtracker does all the searching: it assigns pattern
-elements in increasing element order and intersects bitmask candidate
-sets.  Counting, enumeration (a leaf visitor that collects maps),
-automorphisms (induced injective self-occurrences) and permutation
-pattern matching (occurrences between dimension-2 posets) all run on it.
+elements one at a time and intersects bitmask candidate sets.  Counting,
+enumeration (a leaf visitor that collects maps), automorphisms (induced
+injective self-occurrences) and permutation pattern matching
+(occurrences between dimension-2 posets) all run on it.  Leaf visitors
+get label order, so maps come out in lexicographic order.  Counts place
+the most constrained elements first, and the last two elements are not
+searched: each candidate of the second-to-last adds the popcount of the
+candidates it leaves to the last.
 
 Unlabeled occurrences are orbits under precomposition with Aut(P).
 Counts use Burnside's lemma: the maps f with f∘g = f are those constant
@@ -32,16 +36,51 @@ __all__ = [
 ]
 
 
+def _search_order(P, related, incomparable):
+    """P's elements, most constrained first.
+
+    related and incomparable are the mean shares of text elements that a
+    constraint of that kind leaves to an element, given its partner's
+    image (incomparable is 1 when incomparability is not required).  Each
+    next element is the one whose constraints to the elements already
+    placed leave the least expected share; ties go to the one whose
+    constraints to the elements not yet placed leave the least, then to
+    the lowest label.
+    """
+    k = P.n
+    rel = [P.up[v] | P.down[v] for v in range(k)]
+    inc = [((1 << k) - 1) & ~rel[v] & ~(1 << v) for v in range(k)]
+    power = [(related ** c, incomparable ** c) for c in range(k)]
+
+    def expected(v, among):
+        return power[(rel[v] & among).bit_count()][0] * power[(inc[v] & among).bit_count()][1]
+
+    placed, order, left = 0, [], list(range(k))
+    while left:
+        v = min(left, key=lambda v: (expected(v, placed), expected(v, ~placed)))
+        left.remove(v)
+        order.append(v)
+        placed |= 1 << v
+    return order
+
+
 def _count_maps(P, Q, induced, injective, deadline=None, visit=None, classes=None):
     """Count occurrence maps by backtracking with bitmask candidate sets.
 
-    Candidates are tried lowest element first, so leaves are reached in
-    lexicographic order of assignment vectors.  When visit is given, it
-    is called with the assignment at every leaf, and the leaf counts only
-    if it returns a true value.  When classes maps the cycle leaders of
-    automorphisms g (see _cycle_leaders) to weights, the result is the
-    weighted sum over them of the maps f with f∘g = f; the constraint
-    table is built once, and each class only adds its ties.
+    When visit is given, pattern elements are assigned in label order and
+    candidates lowest element first, so leaves are reached in
+    lexicographic order of assignment vectors; visit is called with the
+    assignment at every leaf, and the leaf counts only if it returns a
+    true value.  Otherwise the order is fixed once by _search_order, and
+    no leaf is reached: the last element adds the size of its candidate
+    set, and the second-to-last applies the last one's constraints from
+    earlier elements once, then adds, for each of its own candidates, the
+    size of what its constraint on the last element leaves of them.
+
+    When classes maps the cycle leaders of automorphisms g (see
+    _cycle_leaders) to weights, the result is the weighted sum over them
+    of the maps f with f∘g = f; the constraint table is built once, and
+    each class only adds its ties.
     """
     k, n = P.n, Q.n
     # one frame per pattern element, and 100 left for the callers
@@ -49,56 +88,82 @@ def _count_maps(P, Q, induced, injective, deadline=None, visit=None, classes=Non
         raise errors.SizeLimitError("a %d-element pattern is too deep for the recursion limit of %d"
                                     % (k, sys.getrecursionlimit()))
     full = (1 << n) - 1
-    incomparable = None
-    if induced:
-        incomparable = [full & ~(Q.up[j] | Q.down[j]) | (1 << j) for j in range(n)]
-    # table[v]: (u, rows) for each earlier u; the image of v must lie in
-    # rows[image of u], the text elements related to it as v is to u
-    table = []
-    for v in range(k):
-        row = []
-        for u in range(v):
-            if P.less(u + 1, v + 1):
-                row.append((u, Q.up))
-            elif P.less(v + 1, u + 1):
-                row.append((u, Q.down))
-            elif induced:
-                row.append((u, incomparable))
-        table.append(row)
+    incomparable = [full & ~(Q.up[j] | Q.down[j]) | (1 << j) for j in range(n)] if induced else None
+
+    def constraint(u, v):
+        """The image of v must lie in constraint(u, v)[image of u], the text
+        elements related to it as v is to u (None: unconstrained)."""
+        return Q.up if P.up[u] >> v & 1 else Q.down if P.down[u] >> v & 1 else incomparable
+
+    if visit is None:
+        share = lambda rows: sum(map(int.bit_count, rows)) / (n * n or 1)
+        order = _search_order(P, share(Q.up), share(incomparable) if induced else 1.0)
+        last = k - 1
+    else:
+        order, last = range(k), k + 1  # no closed-form tail: every leaf is visited
+    position = {v: i for i, v in enumerate(order)}
+    # table[i]: (u, rows) for each u placed before the i-th element v
+    table = [[(u, rows) for u in order[:i] if (rows := constraint(u, v)) is not None]
+             for i, v in enumerate(order)]
     identity = tuple(range(1, k + 1))
     same = [1 << j for j in range(n)]
     assignment = [0] * k
 
-    def extend(v, used):
+    def extend(i, used):
         nonlocal count, nodes
         nodes += 1
         if deadline is not None and nodes % 4096 == 1 and time.monotonic() > deadline:
             raise errors.TimeoutError("occurrence count exceeded its deadline")
-        if v == k:
+        if i == k:
             if visit is None or visit(assignment):
                 count += 1
             return
         cand = full
-        for u, rows in constraints[v]:
+        for u, rows in constraints[i]:
             cand &= rows[assignment[u] - 1]
             if not cand:
                 return
         if injective:
             cand &= ~used
+        if i == last:
+            count += cand.bit_count()
+            return
+        if i == last - 1:
+            rest = full & ~used if injective else full
+            for u, rows in early:
+                rest &= rows[assignment[u] - 1]
+            while cand and rest:
+                bit = cand & -cand
+                j = bit.bit_length() - 1
+                hits = rest & ~bit if injective else rest
+                for rows in pair:
+                    hits &= rows[j]
+                count += hits.bit_count()
+                cand &= cand - 1
+            return
+        v = order[i]
         while cand:
             bit = cand & -cand
             assignment[v] = bit.bit_length()
-            extend(v + 1, used | bit)
+            extend(i + 1, used | bit)
             cand &= cand - 1
-        assignment[v] = 0
 
     total = 0
     for leaders, weight in (classes or {identity: 1}).items():
         if injective and leaders != identity:
             continue  # f∘g = f forces f(v) = f(g(v)) for some g(v) != v
-        # f(v) = f(leader of v), checked at v: the leader is assigned first
-        constraints = [row + [(lead - 1, same)] if lead - 1 != v else row
-                       for v, (row, lead) in enumerate(zip(table, leaders))]
+        # f(v) = f(leader of v), checked at whichever of the two is placed later
+        constraints = [list(row) for row in table]
+        for v, lead in enumerate(leaders):
+            u = lead - 1
+            if u != v:
+                earlier, later = sorted((u, v), key=position.__getitem__)
+                constraints[position[later]].append((earlier, same))
+        if visit is None and k >= 2:
+            # the last element's constraints, split by whether they come
+            # from the second-to-last
+            early = [(u, rows) for u, rows in constraints[last] if u != order[last - 1]]
+            pair = [rows for u, rows in constraints[last] if u == order[last - 1]]
         count = nodes = 0
         extend(0, 0)
         total += weight * count

@@ -282,6 +282,8 @@ def verify_reduction(f, method="structured", timeout=60.0):
     deadline = time.monotonic() + timeout if timeout is not None else None
     P = poset_from_permutation(gadget.pattern)
     Q = poset_from_permutation(gadget.text)
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeoutError("building the gadget posets exceeded the deadline")
     if method == "backtrack":
         flavor = OccurrenceFlavor(induced=False, injective=True, unlabeled=True)
         return VerifyReport(method, count_occurrences(P, Q, flavor, deadline=deadline), sat)

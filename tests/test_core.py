@@ -68,6 +68,15 @@ def test_231_single_relation():
     assert P.relations() == [(1, 2)]
 
 
+def test_d_sigma_rows_match_pairwise_definition(rng):
+    for n in [1, 2, 60] + [rng.randint(1, 60) for _ in range(20)]:
+        img = list(range(1, n + 1))
+        rng.shuffle(img)
+        P = poset_from_permutation(Permutation(img))
+        assert P.up == tuple(sum(1 << j for j in range(i + 1, n) if img[i] < img[j]) for i in range(n))
+        assert P.down == tuple(sum(1 << i for i in range(j) if img[i] < img[j]) for j in range(n))
+
+
 @given(permutations_st)
 def test_d_sigma_is_a_valid_poset(sigma):
     P = poset_from_permutation(sigma)

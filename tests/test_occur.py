@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 from math import comb
 
@@ -19,9 +20,9 @@ from posetmatch import (
     poset_from_relations,
 )
 from posetmatch.errors import SizeError, SizeLimitError, TimeoutError
-from posetmatch.occur import automorphism_maps
+from posetmatch.occur import _search_order, automorphism_maps
 
-from conftest import brute_automorphisms, brute_occurrences, random_poset
+from conftest import brute_automorphisms, brute_occurrences, random_poset, relabel
 
 ALL_FLAVORS = [OccurrenceFlavor(bool(i), bool(j), bool(u))
                for i in (0, 1) for j in (0, 1) for u in (0, 1)]
@@ -80,6 +81,46 @@ def test_count_matches_enumeration(rng):
             occs = enumerate_occurrences(P, Q, flavor)
             assert count_occurrences(P, Q, flavor) == len(occs) == len(oracle)
             assert [o.assignment for o in occs] == oracle
+
+
+def test_search_order_places_the_most_constrained_first():
+    # 1 is isolated and 2 < 3 < 4: the chain goes first, from its lowest
+    # label, and the isolated element last, where the count adds it by
+    # popcount; constraints of one kind alone tie, and label order decides
+    P = poset_from_relations(4, [(2, 3), (3, 4)])
+    assert _search_order(P, 0.2, 1.0) == [1, 2, 3, 0]
+    assert _search_order(antichain(4), 0.2, 1.0) == _search_order(chain(4), 0.2, 0.5) == [0, 1, 2, 3]
+    # induced, with incomparable pairs the more selective: 1, incomparable
+    # to all others, goes first; of 1 < 2, 3, 4, the pairwise incomparable
+    # 2, 3, 4 go before 1
+    assert _search_order(P, 0.4, 0.1) == [0, 1, 2, 3]
+    Q = poset_from_relations(4, [(1, 2), (1, 3), (1, 4)])
+    assert _search_order(Q, 0.4, 0.1) == [1, 2, 3, 0]
+
+
+def test_counts_match_oracle_when_search_order_is_not_label_order(rng):
+    # relabeled pairs: counts search the most constrained elements first,
+    # enumeration keeps label order; k = 1 and 2 are all tail, and the
+    # symmetric patterns' Burnside ties fall on any of their elements
+    pairs = [(relabel(rng, random_poset(rng, k)), relabel(rng, random_poset(rng, 5)))
+             for k in (1, 2, 3, 4) for _ in range(6)]
+    pairs += [(relabel(rng, P), relabel(rng, random_poset(rng, 4))) for P in SYMMETRIC_PATTERNS
+              for _ in range(3)]
+    for P, Q in pairs:
+        for flavor in ALL_FLAVORS:
+            oracle = brute_occurrences(P, Q, flavor)
+            assert count_occurrences(P, Q, flavor) == len(oracle), (P, Q, flavor)
+            assert [o.assignment for o in enumerate_occurrences(P, Q, flavor)] == oracle
+
+
+@pytest.mark.parametrize("seed", [1, 7, 9])
+def test_counts_are_relabel_invariant_beyond_the_oracle(seed):
+    # k = 7, n = 30 (up to 4.7 million maps); the seeds give |Aut(P)| = 2, 1 and 6
+    rng = random.Random(seed)
+    P, Q = random_poset(rng, 7, 0.4), random_poset(rng, 30, 0.3)
+    P2, Q2 = relabel(rng, P), relabel(rng, Q)
+    for flavor in ALL_FLAVORS:
+        assert count_occurrences(P, Q, flavor) == count_occurrences(P2, Q2, flavor), flavor
 
 
 def test_unlabeled_count_honours_a_passed_deadline():

@@ -1,6 +1,7 @@
 """Tests for the 3-CNF to pattern-matching gadget and its verifiers."""
 
 import random
+import time
 
 import pytest
 
@@ -252,6 +253,22 @@ def test_verify_bad_method():
 def test_backtrack_timeout():
     with pytest.raises(TimeoutError):
         verify_reduction(parse_dimacs(F1), method="backtrack", timeout=0.05)
+
+
+def test_backtrack_counts_every_map_on_the_smallest_gadget():
+    report = verify_reduction(parse_dimacs(F1), method="backtrack", timeout=60.0)
+    assert (report.matches, report.sat) == (5_390_219, 1)
+
+
+def test_timeout_bounds_building_a_large_gadget():
+    # |tau| = 8n + 35m = 10,524: the posets are built before any search
+    f = random_cnf(random.Random(300), 3, 300)
+    start = time.monotonic()
+    try:
+        verify_reduction(f, timeout=1)
+    except TimeoutError:
+        pass
+    assert time.monotonic() - start < 10
 
 
 def test_timeout_none_is_the_only_unbounded_value():
