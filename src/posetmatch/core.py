@@ -201,13 +201,15 @@ def restrict(P, subset):
             raise RangeError("element %r outside 1..%d" % (x, P.n))
     index = {x - 1: j for j, x in enumerate(elems)}
     keep = sum(1 << i for i in index)
-    up = [0] * len(elems)
+    up, down = [0] * len(elems), [0] * len(elems)
     for i, j in index.items():
         row = P.up[i] & keep
         while row:
-            up[j] |= 1 << index[(row & -row).bit_length() - 1]
+            k = index[(row & -row).bit_length() - 1]
+            up[j] |= 1 << k
+            down[k] |= 1 << j
             row &= row - 1
-    return Poset(len(elems), up)
+    return Poset(len(elems), up, down)
 
 
 def is_occurrence(f, P, Q, flavor):

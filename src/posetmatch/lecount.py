@@ -1,20 +1,21 @@
 """Linear-extension counting and dimension-2 automorphism counting.
 
-Two polynomial engines are provided: a down-set lattice DP driven by a
-Dilworth chain cover, and a recursion over the Gallai tree that handles
-prime quotients by inflating each quotient element to a chain (inflation
-preserves the quotient's width, so the DP stays polynomial for bounded
-intrinsic width).  Exhaustive oracles live here too.
+Two polynomial engines are provided: a down-set DP over a Dilworth chain
+cover, pushing each down-set's count forward one size at a time, and a
+recursion over the Gallai tree that handles prime quotients by inflating
+each quotient element to a chain (inflation preserves the quotient's
+width, so the DP stays polynomial for bounded intrinsic width).
+Exhaustive oracles live here too.
 
 Counts are plain Python integers (arbitrary precision).
 """
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, permutations
 from math import factorial, prod
 
-from .core import Poset, poset_from_permutation, poset_from_relations
+from .core import Poset, poset_from_permutation
 from .decomp import _permutation_encoding, dilworth, fold_tree, gallai_tree
 from .errors import MemoryBudgetError, RangeError, SizeLimitError
 from .occur import automorphism_maps
@@ -68,31 +69,38 @@ def _levels(P, chains):
     """The down-sets of P over the chain cover, one size at a time.
 
     Yields, for sizes 1..n in turn, a dict from each down-set of that
-    size, as a bitmask, to the down-sets it covers.  A down-set D meets
-    each chain c in a prefix of t elements, so c[t] is the only element
-    of c that can extend D, and it does iff D holds everything below it.
-    """
-    heads = [([x - 1 for x in c], sum(1 << (x - 1) for x in c)) for c in chains]
-    level = {0: []}
+    size, as a bitmask, to its number of linear extensions e(D).  D meets
+    each chain c in a prefix of t elements, so only c[t] can extend D, and
+    it does iff D holds everything below it; D then adds e(D) to e(D+c[t]).
+    A chain's table gives, per t, the bit and down row of c[t], and past
+    its end a row that no D can hold."""
+    tables = [(sum(1 << (x - 1) for x in c), [(1 << (x - 1), P.down[x - 1]) for x in c] + [(0, -1)])
+              for c in chains]
+    level = {0: 1}
     for _ in range(P.n):
-        nxt = defaultdict(list)
-        for D in level:
-            for c, m in heads:
-                t = (D & m).bit_count()
-                if t < len(c) and not P.down[c[t]] & ~D:
-                    nxt[D | 1 << c[t]].append(D)
+        nxt = {}
+        for D, e in level.items():
+            out = ~D
+            for m, table in tables:
+                bit, below = table[(D & m).bit_count()]
+                if not below & out:
+                    E = D | bit
+                    nxt[E] = nxt.get(E, 0) + e
         yield nxt
         level = nxt
 
 
 def downset_lattice(P, cd):
-    """The lattice of down-sets of P over the chain cover cd."""
-    masks = [sum(1 << (x - 1) for x in c) for c in cd.chains]
-    keys = {0: (0,) * len(masks)}
-    nodes = {keys[0]: []}
+    """The lattice of down-sets of P over the chain cover cd.  D covers D
+    minus each maximal element: a chain's last member in D whose up row misses D."""
+    chains = [[x - 1 for x in c] for c in cd.chains]
+    masks = [sum(1 << x for x in c) for c in chains]
+    nodes = {(0,) * len(masks): []}
     for level in _levels(P, cd.chains):
-        prev, keys = keys, {D: tuple((D & m).bit_count() for m in masks) for D in level}
-        nodes.update((keys[D], sorted(prev[c] for c in children)) for D, children in level.items())
+        for D in level:
+            key = tuple((D & m).bit_count() for m in masks)
+            nodes[key] = sorted(key[:j] + (t - 1,) + key[j + 1:]
+                                for j, (c, t) in enumerate(zip(chains, key)) if t and not P.up[c[t - 1]] & D)
     return DownSetLattice(nodes, cd)
 
 
@@ -112,16 +120,23 @@ def lattice_as_poset(lattice):
 
 
 def count_le_downset_dp(P, node_budget=DEFAULT_NODE_BUDGET):
-    """e(P) by the down-set recurrence f(D) = sum over covered D', level by level."""
-    cd = dilworth(P)
-    if prod(len(c) + 1 for c in cd.chains) > node_budget:
-        raise MemoryBudgetError(
-            "projected down-sets over %d chains exceed node budget %d" % (len(cd.chains), node_budget)
-        )
-    f = {0: 1}
-    for level in _levels(P, cd.chains):
-        f = {D: sum(f[c] for c in children) for D, children in level.items()}
-    (count,) = f.values()
+    """e(P) by the down-set sweep of _levels over a Dilworth cover of P.
+
+    node_budget bounds the down-sets met, the empty one included: k chains
+    hold an antichain with 2^k down-sets, so 2^k past it is refused at once;
+    otherwise MemoryBudgetError is raised after the first level that takes
+    the count past it (a projected count prod(|C_j| + 1) that fits passes).
+    """
+    chains = dilworth(P).chains
+    over = "down-sets over %d chains exceed node budget %d" % (len(chains), node_budget)
+    if 1 << len(chains) > node_budget:
+        raise MemoryBudgetError("2^%d %s" % (len(chains), over))
+    met, level = 1, {0: 1}
+    for level in _levels(P, chains):
+        met += len(level)
+        if met > node_budget:
+            raise MemoryBudgetError(over)
+    (count,) = level.values()
     return count
 
 
@@ -135,17 +150,15 @@ def inflate(quotient, sizes):
     if any(s < 1 for s in sizes):
         raise RangeError("chain size %d is below 1" % min(sizes))
     offsets = list(accumulate(sizes, initial=0))
-    total = offsets.pop()
-    pairs = []
-    for i in range(quotient.n):
-        base = offsets[i]
-        for t in range(sizes[i] - 1):
-            pairs.append((base + t + 1, base + t + 2))
-        for j in range(quotient.n):
-            if i != j and quotient.less(i + 1, j + 1):
-                # linking the chain ends suffices; closure lifts the rest
-                pairs.append((base + sizes[i], offsets[j] + 1))
-    return poset_from_relations(total, pairs)
+    blocks = [((1 << s) - 1) << o for o, s in zip(offsets, sizes)]
+    lift = lambda row: sum(b for j, b in enumerate(blocks) if row >> j & 1)
+    up, down = [], []
+    for i, block in enumerate(blocks):
+        above, below = lift(quotient.up[i]), lift(quotient.down[i])
+        for x in range(offsets[i], offsets[i] + sizes[i]):
+            up.append(above | block >> (x + 1) << (x + 1))
+            down.append(below | block & ((1 << x) - 1))
+    return Poset(offsets[-1], up, down)
 
 
 def _multinomial(sizes):

@@ -114,10 +114,12 @@ def test_restrict_matches_pairwise_reference(rng):
         P = random_poset(rng, n)
         subset = [rng.randint(1, n) for _ in range(rng.randint(0, 2 * n))] if n else []
         elems = sorted(set(subset))
-        want = poset_from_relations(len(elems), [
+        m = len(elems)
+        want = poset_from_relations(m, [
             (i + 1, j + 1) for i, a in enumerate(elems) for j, b in enumerate(elems) if P.less(a, b)])
-        assert restrict(P, subset) == want
-        assert restrict(P, subset + subset[:3]) == want
+        for got in (restrict(P, subset), restrict(P, subset + subset[:3])):
+            assert got == want
+            assert got.down == tuple(sum(1 << i for i in range(m) if got.up[i] >> j & 1) for j in range(m))
     assert restrict(chain(4), []) == antichain(0)
 
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -23,10 +24,11 @@ from posetmatch import (
     lattice_as_poset,
     poset_from_permutation,
     poset_from_relations,
+    restrict,
     width,
 )
 from posetmatch.errors import MemoryBudgetError, RangeError, SizeLimitError
-from posetmatch.lecount import count_automorphisms_bruteforce, count_le_bruteforce
+from posetmatch.lecount import DEFAULT_NODE_BUDGET, _levels, count_automorphisms_bruteforce, count_le_bruteforce
 
 from conftest import random_poset, relabel
 
@@ -151,6 +153,58 @@ def test_le_memory_budget():
         count_le_downset_dp(antichain(30))
 
 
+def test_levels_hold_the_extension_count_of_every_downset(rng):
+    for _ in range(40):
+        P = random_poset(rng, rng.randint(0, 7))
+        for R in (P, relabel(rng, P)):
+            seen = 0
+            for size, level in enumerate(_levels(R, dilworth(R).chains), 1):
+                for D, e in level.items():
+                    assert D.bit_count() == size
+                    assert e == count_le_bruteforce(restrict(R, [x + 1 for x in range(R.n) if D >> x & 1]))
+                seen += len(level)
+            assert seen + 1 == len(brute_downsets(R))
+
+
+def _projected(P):
+    return math.prod(len(c) + 1 for c in dilworth(P).chains)
+
+
+def test_le_downset_budget_counts_real_downsets():
+    # a random D(sigma) with n = 40 has about 13,000 down-sets against a
+    # projected 3.2 million, so the sweep fits the default budget
+    rng = random.Random("dsigma40/5")
+    img = list(range(1, 41))
+    rng.shuffle(img)
+    P = poset_from_permutation(Permutation(img))
+    assert _projected(P) > DEFAULT_NODE_BUDGET
+    assert count_le_downset_dp(P) == count_linear_extensions(P)
+
+
+def test_le_downset_budget_stops_the_sweep():
+    # 2^width fits the budget, the real down-sets pass it
+    P = poset_from_relations(53, [(i, i + 1) for i in range(4, 53)])  # antichain(3) beside chain(50)
+    assert 2 ** width(P) <= 100 < len(downset_lattice(P, dilworth(P)).nodes) <= _projected(P)
+    with pytest.raises(MemoryBudgetError, match=r"^down-sets over 4 chains exceed node budget 100$"):
+        count_le_downset_dp(P, node_budget=100)
+
+
+def test_le_downset_budget_between_real_and_projected():
+    # antichain(3) beside a ladder a_1 < ... < a_30, b_1 < ... < b_30, a_i < b_i:
+    # 8 * 496 down-sets, far fewer than the projected count
+    n, rungs = 63, 30
+    pairs = [(i, i + 1) for i in range(4, 3 + rungs)] + [(i, i + 1) for i in range(4 + rungs, n)]
+    P = poset_from_relations(n, pairs + [(3 + i, 3 + rungs + i) for i in range(1, rungs + 1)])
+    real = len(downset_lattice(P, dilworth(P)).nodes)
+    assert real == 8 * 496 and 2 ** width(P) < real < _projected(P)
+    expected = math.comb(n, 3) * 6 * count_linear_extensions(restrict(P, range(4, n + 1)))
+    assert count_le_downset_dp(P, node_budget=real) == expected
+    with pytest.raises(MemoryBudgetError, match=r"^down-sets over 5 chains exceed node budget %d$" % (real - 1)):
+        count_le_downset_dp(P, node_budget=real - 1)
+    with pytest.raises(MemoryBudgetError, match=r"^2\^5 down-sets over 5 chains exceed node budget 31$"):
+        count_le_downset_dp(P, node_budget=31)
+
+
 def test_le_recurse_handles_wide_antichain():
     # the recursive engine sees a parallel node, no lattice needed
     assert count_linear_extensions(antichain(12)) == math.factorial(12)
@@ -198,6 +252,23 @@ def test_inflate_checks_lengths_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout == "3 chain sizes for a 2-element quotient\n"
+
+
+def closure_inflate(quotient, sizes):
+    """inflate by definition: chains linked end to start, then closed."""
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    pairs = [(offsets[i] + t, offsets[i] + t + 1) for i in range(quotient.n) for t in range(1, sizes[i])]
+    pairs += [(offsets[a], offsets[b - 1] + 1) for a, b in quotient.relations()]
+    return poset_from_relations(offsets[-1], pairs)
+
+
+def test_inflate_matches_closure(rng):
+    for _ in range(60):
+        P = random_poset(rng, rng.randint(0, 8))
+        for R in (P, relabel(rng, P)):
+            sizes = [rng.randint(1, 4) for _ in range(R.n)]
+            got, want = inflate(R, sizes), closure_inflate(R, sizes)
+            assert (got.n, got.up, got.down) == (want.n, want.up, want.down)
 
 
 def test_inflate_keeps_width(rng):
