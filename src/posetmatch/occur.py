@@ -1,14 +1,16 @@
 """Occurrence enumeration and counting for every flavor.
 
-One pruned backtracker does all the searching: it assigns pattern
-elements one at a time and intersects bitmask candidate sets.  Counting,
-enumeration (a leaf visitor that collects maps), automorphisms (induced
-injective self-occurrences) and permutation pattern matching
-(occurrences between dimension-2 posets) all run on it.  Leaf visitors
-get label order, so maps come out in lexicographic order.  Counts place
-the most constrained elements first, and the last two elements are not
-searched: each candidate of the second-to-last adds the popcount of the
-candidates it leaves to the last.
+One backtracker with forward checking does all the searching: it
+assigns pattern elements one at a time, each image narrows the bitmask
+candidate sets of the elements still to come, and an image that leaves
+one of them empty is dropped at once.  Counting, enumeration (a leaf
+visitor that collects maps), automorphisms (induced injective
+self-occurrences) and permutation pattern matching (occurrences between
+dimension-2 posets) all run on it.  Leaf visitors get label order, so
+maps come out in lexicographic order.  Counts place the most constrained
+elements first, and the last two elements are not searched: their pairs
+are counted by a popcount per candidate of the second-to-last, or, when
+it has many candidates for the text's size, by one big-int step.
 
 Unlabeled occurrences are orbits under precomposition with Aut(P).
 Counts use Burnside's lemma: the maps f with f∘g = f are those constant
@@ -65,22 +67,27 @@ def _search_order(P, related, incomparable):
 
 
 def _count_maps(P, Q, induced, injective, deadline=None, visit=None, classes=None):
-    """Count occurrence maps by backtracking with bitmask candidate sets.
+    """Count occurrence maps by backtracking with forward checking.
 
-    When visit is given, pattern elements are assigned in label order and
-    candidates lowest element first, so leaves are reached in
+    Each level carries the candidate sets of every element not yet
+    placed; placing an element ANDs its image's rows into the sets of the
+    later elements it constrains, and an image that empties one is
+    skipped.  When visit is given, pattern elements are assigned in label
+    order and candidates lowest element first, so leaves are reached in
     lexicographic order of assignment vectors; visit is called with the
     assignment at every leaf, and the leaf counts only if it returns a
     true value.  Otherwise the order is fixed once by _search_order, and
     no leaf is reached: the last element adds the size of its candidate
-    set, and the second-to-last applies the last one's constraints from
-    earlier elements once, then adds, for each of its own candidates, the
-    size of what its constraint on the last element leaves of them.
+    set, and the second-to-last adds, over its candidates x, the size of
+    what x's rows leave of the last one's set.  With more candidates than
+    n**3 >> 17 (the two multiplies cost about n**3), that sum is one
+    big-int step: each text element's rows are stacked at stride n + 1,
+    and the candidates, copied to their blocks, pick the blocks to meet.
 
     When classes maps the cycle leaders of automorphisms g (see
     _cycle_leaders) to weights, the result is the weighted sum over them
     of the maps f with f∘g = f; the constraint table is built once, and
-    each class only adds its ties.
+    each class only adds its ties, each in place of a constraint.
     """
     k, n = P.n, Q.n
     # one frame per pattern element, and 100 left for the callers
@@ -102,15 +109,25 @@ def _count_maps(P, Q, induced, injective, deadline=None, visit=None, classes=Non
     else:
         order, last = range(k), k + 1  # no closed-form tail: every leaf is visited
     position = {v: i for i, v in enumerate(order)}
-    # table[i]: (u, rows) for each u placed before the i-th element v
-    table = [[(u, rows) for u in order[:i] if (rows := constraint(u, v)) is not None]
+    # table[i]: (j, rows) for each later j-th element that the i-th one constrains
+    table = [[(j, rows) for j in range(i + 1, k) if (rows := constraint(v, order[j])) is not None]
              for i, v in enumerate(order)]
     identity = tuple(range(1, k + 1))
     same = [1 << j for j in range(n)]
     assignment = [0] * k
+    cutoff = n ** 3 >> 17
+    if visit is None and k >= 2:
+        # an injective count drops the pairs with equal images, which the
+        # last two elements' rows allow only when they are incomparable
+        twin = injective and not P.comparable(order[last - 1] + 1, order[last] + 1)
+        if cutoff < n:
+            # spread copies an n-bit set to every block of n bits, diagonal
+            # keeps bit t of block t, moved to the start of block t at stride n + 1
+            spread = ((1 << n * n) - 1) // ((1 << n) - 1)
+            diagonal = ((1 << n * (n + 1)) - 1) // ((1 << n + 1) - 1)
 
-    def extend(i, used):
-        nonlocal count, nodes
+    def extend(i, used, cands):
+        nonlocal count, nodes, stacked
         nodes += 1
         if deadline is not None and nodes % 4096 == 1 and time.monotonic() > deadline:
             raise errors.TimeoutError("occurrence count exceeded its deadline")
@@ -118,54 +135,59 @@ def _count_maps(P, Q, induced, injective, deadline=None, visit=None, classes=Non
             if visit is None or visit(assignment):
                 count += 1
             return
-        cand = full
-        for u, rows in constraints[i]:
-            cand &= rows[assignment[u] - 1]
-            if not cand:
-                return
-        if injective:
-            cand &= ~used
+        cand = cands[i] & ~used if injective else cands[i]
         if i == last:
             count += cand.bit_count()
             return
         if i == last - 1:
-            rest = full & ~used if injective else full
-            for u, rows in early:
-                rest &= rows[assignment[u] - 1]
-            while cand and rest:
-                bit = cand & -cand
-                j = bit.bit_length() - 1
-                hits = rest & ~bit if injective else rest
-                for rows in pair:
-                    hits &= rows[j]
-                count += hits.bit_count()
+            rest = cands[last] & ~used if injective else cands[last]
+            if twin:
+                count -= (cand & rest).bit_count()
+            if cand.bit_count() > cutoff:
+                if stacked is None:
+                    stacked = 0
+                    for row in reversed(ends):
+                        stacked = stacked << n + 1 | row
+                count += (stacked & (cand * spread & diagonal) * rest).bit_count()
+                return
+            while cand:
+                count += (rest & ends[(cand & -cand).bit_length() - 1]).bit_count()
                 cand &= cand - 1
             return
-        v = order[i]
+        v, ahead = order[i], links[i]
         while cand:
             bit = cand & -cand
-            assignment[v] = bit.bit_length()
-            extend(i + 1, used | bit)
+            x = bit.bit_length() - 1
+            later = cands.copy()
+            for j, rows in ahead:
+                later[j] &= rows[x]
+                if not later[j]:
+                    break
+            else:
+                assignment[v] = x + 1
+                extend(i + 1, used | bit, later)
             cand &= cand - 1
 
     total = 0
     for leaders, weight in (classes or {identity: 1}).items():
         if injective and leaders != identity:
             continue  # f∘g = f forces f(v) = f(g(v)) for some g(v) != v
-        # f(v) = f(leader of v), checked at whichever of the two is placed later
-        constraints = [list(row) for row in table]
+        # f(v) = f(leader of v), checked when the earlier of the two is
+        # placed; the cycles of g are antichains, so this tie replaces the
+        # constraint between them, which allows equal images
+        links = [list(row) for row in table]
         for v, lead in enumerate(leaders):
             u = lead - 1
             if u != v:
-                earlier, later = sorted((u, v), key=position.__getitem__)
-                constraints[position[later]].append((earlier, same))
+                earlier, later = sorted((position[u], position[v]))
+                links[earlier] = [link for link in links[earlier] if link[0] != later] + [(later, same)]
         if visit is None and k >= 2:
-            # the last element's constraints, split by whether they come
-            # from the second-to-last
-            early = [(u, rows) for u, rows in constraints[last] if u != order[last - 1]]
-            pair = [rows for u, rows in constraints[last] if u == order[last - 1]]
+            # ends[x]: what the second-to-last at x leaves to the last (x
+            # itself included: twin takes it out of injective counts)
+            ends = links[last - 1][0][1] if links[last - 1] else [full] * n
+            stacked = None
         count = nodes = 0
-        extend(0, 0)
+        extend(0, 0, [full] * k)
         total += weight * count
     return total
 

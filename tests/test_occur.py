@@ -1,7 +1,7 @@
 import itertools
 import random
 import time
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -139,6 +139,66 @@ def test_unlabeled_antichain_in_antichain_is_multisets(k, m):
     for induced in (False, True):
         flavor = OccurrenceFlavor(induced=induced, injective=False, unlabeled=True)
         assert count_occurrences(antichain(k), antichain(m), flavor) == comb(m + k - 1, k)
+
+
+@pytest.mark.parametrize("flavor", ALL_FLAVORS)
+def test_degenerate_sizes(flavor):
+    # the empty pattern has one occurrence, the empty map, in every text;
+    # a one-element pattern has one per text element; nonempty patterns
+    # have none in the empty text
+    empty = antichain(0)
+    for Q in (empty, chain(5), antichain(4), N_POSET):
+        assert count_occurrences(empty, Q, flavor) == 1
+        assert [o.assignment for o in enumerate_occurrences(empty, Q, flavor)] == [()]
+        assert count_occurrences(chain(1), Q, flavor) == Q.n
+        assert len(enumerate_occurrences(chain(1), Q, flavor)) == Q.n
+    for P in (chain(2), antichain(2), N_POSET):
+        assert count_occurrences(P, empty, flavor) == 0
+        assert enumerate_occurrences(P, empty, flavor) == []
+
+
+def test_enumeration_and_automorphisms_come_in_lexicographic_order(rng):
+    # forward checking drops branches that hold no leaf; it must not
+    # reorder the leaves of the others
+    pairs = [(random_poset(rng, rng.randint(2, 4)), random_poset(rng, rng.randint(5, 9)))
+             for _ in range(24)]
+    pairs += [(P, random_poset(rng, 7)) for P in SYMMETRIC_PATTERNS]
+    pairs = [(relabel(rng, P), relabel(rng, Q)) if i % 2 else (P, Q) for i, (P, Q) in enumerate(pairs)]
+    for P, Q in pairs:
+        for flavor in ALL_FLAVORS:
+            maps = [o.assignment for o in enumerate_occurrences(P, Q, flavor)]
+            assert all(a < b for a, b in zip(maps, maps[1:])), (P, Q, flavor)
+            assert len(maps) == count_occurrences(P, Q, flavor)
+        for R in (P, Q, relabel(rng, antichain(5))):
+            auts = automorphism_maps(R)
+            assert auts == sorted(set(auts))
+
+
+def test_large_text_counts_match_independent_oracles(rng):
+    # n = 60-130 straddles the cutoff n**3 >> 17 (1 at n = 60, 16 at
+    # n = 130) above which the last two elements' pairs are counted in one
+    # big-int step, so both tail branches run; chain(k) has one labeled
+    # injective occurrence per k-chain of Q, and antichain(k) has k! induced
+    # ones per k-antichain
+    for trial in range(6):
+        n = 60 + 14 * trial
+        Q = random_poset(rng, n, rng.uniform(0.02, 0.3))
+        R = relabel(rng, Q)
+        for k in (2, 3, 4):
+            chains = count_chain_occurrences(k, Q)
+            for induced in (False, True):
+                flavor = OccurrenceFlavor(induced, True, False)
+                assert count_occurrences(chain(k), Q, flavor) == chains, (n, k, induced)
+                assert count_occurrences(chain(k), R, flavor) == chains, (n, k, induced)
+        apart = {a: {b for b in range(1, n + 1) if b != a and not Q.comparable(a, b)}
+                 for a in range(1, n + 1)}
+        pairs = [(a, b) for a in range(1, n + 1) for b in apart[a] if a < b]
+        triples = sum(1 for a, b in pairs for c in apart[a] & apart[b] if c > b)
+        flavor = OccurrenceFlavor(True, True, False)
+        for k, antichains in ((2, len(pairs)), (3, triples)):
+            expected = antichains * factorial(k)
+            assert count_occurrences(antichain(k), Q, flavor) == expected, (n, k)
+            assert count_occurrences(antichain(k), R, flavor) == expected, (n, k)
 
 
 def test_automorphisms_match_brute(rng):
