@@ -30,6 +30,7 @@ from .lecount import (
     count_le_bruteforce,
     count_le_downset_dp,
     count_linear_extensions,
+    count_occurrences_in_chain,
     downset_lattice,
     inflate,
     lattice_as_poset,
@@ -37,7 +38,6 @@ from .lecount import (
 from .occur import (
     count_chain_occurrences,
     count_occurrences,
-    count_occurrences_in_chain,
     enumerate_occurrences,
     match_permutation,
 )

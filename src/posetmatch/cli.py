@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 input format error, 3 budget or
-timeout exceeded.  All output is deterministic for fixed inputs/seeds.
+Exit codes: 0 success, 1 usage error, 2 any other library or OS error, 3
+budget or timeout exceeded.  All output is deterministic for fixed inputs/seeds.
 """
 
 import argparse
@@ -11,15 +11,13 @@ import sys
 
 from . import core, decomp, errors, lecount, occur, sat
 
-FORMAT_ERRORS = (
-    errors.FormatError,
-    errors.CycleError,
-    errors.RangeError,
-    errors.NotAModuleError,
-    errors.SizeError,
-    errors.ConstraintError,
-)
 BUDGET_ERRORS = (errors.SizeLimitError, errors.MemoryBudgetError, errors.TimeoutError)
+LE_METHODS = {
+    "auto": lecount.count_linear_extensions,
+    "downset": lecount.count_le_downset_dp,
+    "recurse": lecount.count_linear_extensions,
+    "brute": lecount.count_le_bruteforce,
+}
 
 
 class UsageError(Exception):
@@ -32,8 +30,11 @@ class Parser(argparse.ArgumentParser):
 
 
 def _read(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise errors.FormatError("%s: byte %d is not UTF-8" % (path, exc.start)) from None
 
 
 def _load_poset(path, as_permutation=False):
@@ -49,6 +50,16 @@ def _seconds(text):
     if not (0 < value < math.inf):
         raise argparse.ArgumentTypeError("expected a positive finite number of seconds, got %r" % text)
     return value
+
+
+def _size(least):
+    """Argument type: an integer n with least <= n <= sys.maxsize."""
+    def size(text):
+        value = int(text)
+        if not least <= value <= sys.maxsize:
+            raise argparse.ArgumentTypeError("expected %d <= n <= %d, got %r" % (least, sys.maxsize, text))
+        return value
+    return size
 
 
 _CHUNK = 10 ** 1000
@@ -70,7 +81,7 @@ def build_parser():
 
     p = sub.add_parser("le", help="count linear extensions")
     p.add_argument("poset")
-    p.add_argument("--method", choices=["auto", "downset", "recurse", "brute"], default="auto")
+    p.add_argument("--method", choices=list(LE_METHODS), default="auto")
     p.add_argument("--check", action="store_true",
                    help="also run the brute-force oracle and fail on mismatch")
 
@@ -101,22 +112,22 @@ def build_parser():
     p.add_argument("--method", choices=["backtrack", "structured"], default="structured")
     p.add_argument("--timeout", type=_seconds, default=60.0)
 
-    p = sub.add_parser("gen", help="generate seeded instances")
-    p.add_argument("kind", choices=["poset", "perm"])
-    p.add_argument("n", type=int)
-    p.add_argument("rest", nargs="+", help="poset: <edge-prob> <seed>; perm: <seed>")
+    kinds = sub.add_parser("gen", help="generate seeded instances").add_subparsers(
+        dest="kind", required=True)
+    p = kinds.add_parser("poset")
+    p.add_argument("n", type=_size(0))
+    p.add_argument("prob", type=float, help="edge probability")
+    p.add_argument("seed", type=int)
+    p = kinds.add_parser("perm")
+    p.add_argument("n", type=_size(1))
+    p.add_argument("seed", type=int)
 
     return parser
 
 
 def _run_le(args, out):
     P = _load_poset(args.poset)
-    if args.method == "downset":
-        value = lecount.count_le_downset_dp(P)
-    elif args.method == "brute":
-        value = lecount.count_le_bruteforce(P)
-    else:  # auto and recurse both use the Gallai recursion
-        value = lecount.count_linear_extensions(P)
+    value = LE_METHODS[args.method](P)
     if args.check:
         oracle = lecount.count_le_bruteforce(P)
         if oracle != value:
@@ -136,26 +147,12 @@ def _run_occur(args, out):
 
 
 def _run_gen(args, out):
+    rng = random.Random(args.seed)
     if args.kind == "poset":
-        usage = "gen poset <n> <edge-prob> <seed>, with n >= 0"
-        if len(args.rest) != 2 or args.n < 0:
-            raise UsageError(usage)
-        try:
-            prob, seed = float(args.rest[0]), int(args.rest[1])
-        except ValueError:
-            raise UsageError(usage) from None
-        rng = random.Random(seed)
         pairs = [(a, b) for a in range(1, args.n + 1) for b in range(a + 1, args.n + 1)
-                 if rng.random() < prob]
+                 if rng.random() < args.prob]
         out.write(core.format_poset(core.poset_from_relations(args.n, pairs)))
     else:
-        usage = "gen perm <n> <seed>, with n >= 1"
-        if len(args.rest) != 1 or args.n < 1:
-            raise UsageError(usage)
-        try:
-            rng = random.Random(int(args.rest[0]))
-        except ValueError:
-            raise UsageError(usage) from None
         img = list(range(1, args.n + 1))
         rng.shuffle(img)
         out.write(core.format_permutation(core.Permutation(img)))
@@ -164,13 +161,8 @@ def _run_gen(args, out):
 def run(argv, out=None, err=None):
     out = out or sys.stdout
     err = err or sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        err.write("usage error: %s\n" % exc)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         if args.verb == "le":
             _run_le(args, out)
         elif args.verb == "occur":
@@ -202,13 +194,10 @@ def run(argv, out=None, err=None):
     except UsageError as exc:
         err.write("usage error: %s\n" % exc)
         return 1
-    except FORMAT_ERRORS as exc:
-        err.write("error: %s\n" % exc)
-        return 2
     except BUDGET_ERRORS as exc:
         err.write("error: %s\n" % exc)
         return 3
-    except OSError as exc:
+    except (errors.PosetmatchError, OSError) as exc:
         err.write("error: %s\n" % exc)
         return 2
     return 0

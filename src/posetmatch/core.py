@@ -6,6 +6,7 @@ encode dimension-2 posets through D(sigma): i precedes j iff i < j and
 sigma(i) < sigma(j).
 """
 
+import sys
 from dataclasses import dataclass
 
 from .errors import CycleError, FormatError, RangeError
@@ -277,6 +278,8 @@ def parse_poset(text):
                 raise FormatError("line %d: bad count %r" % (lineno, parts[1]))
             if n < 0:
                 raise FormatError("line %d: negative count" % lineno)
+            if n > sys.maxsize:
+                raise FormatError("line %d: count %s exceeds %d" % (lineno, parts[1], sys.maxsize))
         elif parts[0] == "r":
             if n is None:
                 raise FormatError("line %d: 'r' before 'p'" % lineno)

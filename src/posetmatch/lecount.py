@@ -13,11 +13,11 @@ Counts are plain Python integers (arbitrary precision).
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, permutations
-from math import factorial, prod
+from math import comb, factorial, prod
 
 from .core import Poset, poset_from_permutation
 from .decomp import _permutation_encoding, dilworth, fold_tree, gallai_tree
-from .errors import MemoryBudgetError, RangeError, SizeLimitError
+from .errors import MemoryBudgetError, RangeError, SizeError, SizeLimitError
 from .occur import automorphism_maps
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -31,6 +31,7 @@ __all__ = [
     "count_le_downset_dp",
     "inflate",
     "count_linear_extensions",
+    "count_occurrences_in_chain",
     "count_automorphisms_dim2",
     "canonical_code",
     "count_automorphisms_bruteforce",
@@ -190,6 +191,13 @@ def count_linear_extensions(P, node_budget=DEFAULT_NODE_BUDGET):
         return total * count_le_downset_dp(inflate(node.quotient, sizes), node_budget)
 
     return fold_tree(gallai_tree(P), fold)
+
+
+def count_occurrences_in_chain(P, q):
+    """Injective occurrences of P in chain(q): e(P) * C(q, |P|)."""
+    if P.n > q:
+        raise SizeError("pattern size %d exceeds chain length %d" % (P.n, q))
+    return count_linear_extensions(P) * comb(q, P.n)
 
 
 def _code_and_auts(sigma):

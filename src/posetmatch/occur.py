@@ -21,7 +21,6 @@ same cycles.  The orbit-minimum leaf filter serves enumeration only.
 import sys
 import time
 from collections import Counter
-from math import comb
 
 from . import errors
 from .core import OccurrenceFlavor, OccurrenceMap, poset_from_permutation
@@ -33,7 +32,6 @@ __all__ = [
     "count_occurrences",
     "match_permutation",
     "count_chain_occurrences",
-    "count_occurrences_in_chain",
     "automorphism_maps",
 ]
 
@@ -306,12 +304,3 @@ def count_chain_occurrences(k, Q):
             cur[i] = total
         prev = cur
     return sum(prev)
-
-
-def count_occurrences_in_chain(P, q):
-    """Injective occurrences of P in chain(q): e(P) * C(q, |P|)."""
-    if P.n > q:
-        raise errors.SizeError("pattern size %d exceeds chain length %d" % (P.n, q))
-    from .lecount import count_linear_extensions
-
-    return count_linear_extensions(P) * comb(q, P.n)

@@ -211,6 +211,8 @@ def _assert_gadget_constraints(f, u, t, fv, pattern, text):
     n, m = f.n, f.m
     if len(pattern) != 4 * n + 5 * m or len(text) != 8 * n + 35 * m:
         raise ConstraintError("gadget block lengths are wrong")
+    # by transitivity, beating the last u and each variable's earlier maxima suffices
+    t_top, f_top = {}, {}
     for i in range(1, m + 1):
         for j in (1, 2, 3):
             var, positive = f.clauses[i - 1][j - 1]
@@ -228,32 +230,34 @@ def _assert_gadget_constraints(f, u, t, fv, pattern, text):
                 raise ConstraintError("t values out of order at (%d,%d)" % (i, j))
             if not fv[i, j, 1] < fv[i, j, 2] < fv[i, j, 3]:
                 raise ConstraintError("f values out of order at (%d,%d)" % (i, j))
-            for ip in range(1, i):
-                if not u[i, j] > u[ip, j]:
-                    raise ConstraintError("u not increasing across clauses")
-                # t and f grow clause over clause per variable, wherever
-                # that variable sat in the earlier clause
-                for jp in (1, 2, 3):
-                    if f.clauses[ip - 1][jp - 1][0] != var:
-                        continue
-                    if not t[i, j, 1] > t[ip, jp, 4]:
-                        raise ConstraintError("t not increasing across clauses")
-                    if not fv[i, j, 1] > fv[ip, jp, 3]:
-                        raise ConstraintError("f not increasing across clauses")
-    if len(set(pattern)) != len(pattern) or len(set(text)) != len(text):
-        raise ConstraintError("gadget values are not distinct")
+            if i > 1 and not u[i, j] > u[i - 1, j]:
+                raise ConstraintError("u not increasing across clauses")
+            if not t[i, j, 1] > t_top.get(var, 0):  # t, f > 0 by the intervals
+                raise ConstraintError("t not increasing across clauses")
+            if not fv[i, j, 1] > f_top.get(var, 0):
+                raise ConstraintError("f not increasing across clauses")
+        for j, (var, _) in enumerate(f.clauses[i - 1], 1):
+            t_top[var] = max(t_top.get(var, 0), t[i, j, 4])
+            f_top[var] = max(f_top.get(var, 0), fv[i, j, 3])
 
 
 def count_satisfying(f):
-    """#SAT by exhaustion over all 2^n assignments (n <= 20)."""
+    """#SAT by exhaustion over all 2^n assignments (n <= 20), bit-parallel:
+    bit b of variable v's column is bit v - 1 of assignment b, and the
+    models are the AND over the clauses of the OR of their literals."""
     if f.n > 20:
         raise SizeLimitError("n = %d exceeds the #SAT oracle budget" % f.n)
-    count = 0
-    for bits in range(1 << f.n):
-        if all(any(((bits >> (var - 1)) & 1 == 1) == positive for var, positive in clause)
-               for clause in f.clauses):
-            count += 1
-    return count
+    columns, size = [], 1
+    for _ in range(f.n):  # double the assignments, the new variable on top
+        columns = [c | c << size for c in columns] + [((1 << size) - 1) << size]
+        size *= 2
+    full = models = (1 << size) - 1
+    for clause in f.clauses:
+        hit = 0
+        for var, positive in clause:
+            hit |= columns[var - 1] if positive else full ^ columns[var - 1]
+        models &= hit
+    return models.bit_count()
 
 
 def _block_local(f, assignment):
@@ -261,6 +265,11 @@ def _block_local(f, assignment):
     spans = [(8 * i, 8) for i in range(f.n) for _ in range(4)]
     spans += [(8 * f.n + 35 * i, 35) for i in range(f.m) for _ in range(5)]
     return all(lo < q <= lo + size for (lo, size), q in zip(spans, assignment))
+
+
+def _check(deadline, stage):
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeoutError("%s exceeded its deadline" % stage)
 
 
 def verify_reduction(f, method="structured", timeout=60.0):
@@ -271,19 +280,21 @@ def verify_reduction(f, method="structured", timeout=60.0):
     the (r, s)-indexed candidate maps block by block (_search_blocks),
     recording which pairs matched and whether every match is induced and
     block-local.  Either method raises TimeoutError once timeout seconds
-    have passed; timeout=None sets no deadline.
+    have passed, counted from entry, so building the gadget and #SAT
+    count against it too; timeout=None sets no deadline.
     """
     if method not in ("backtrack", "structured"):
         raise ValueError("unknown method %r" % method)
     if timeout is not None and not math.isfinite(timeout):
         raise ValueError("timeout must be a finite number of seconds or None, got %r" % timeout)
-    gadget = build_gadget(f)
-    sat = count_satisfying(f)
     deadline = time.monotonic() + timeout if timeout is not None else None
+    gadget = build_gadget(f)
+    _check(deadline, "building the gadget")
+    sat = count_satisfying(f)
+    _check(deadline, "#SAT")
     P = poset_from_permutation(gadget.pattern)
     Q = poset_from_permutation(gadget.text)
-    if deadline is not None and time.monotonic() > deadline:
-        raise TimeoutError("building the gadget posets exceeded the deadline")
+    _check(deadline, "building the gadget posets")
     if method == "backtrack":
         flavor = OccurrenceFlavor(induced=False, injective=True, unlabeled=True)
         return VerifyReport(method, count_occurrences(P, Q, flavor, deadline=deadline), sat)
@@ -322,8 +333,7 @@ def _search_blocks(f, P, Q, deadline):
     pairs, all_induced, all_local = [], True, True
     stack = [((), 2)]  # (prefix, least entry on it), the next to expand last
     while stack:
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError("structured verification exceeded its deadline")
+        _check(deadline, "structured verification")
         p, low = stack.pop()
         if len(p) == len(blocks):
             pairs.append((p[:n], p[n:]))

@@ -128,6 +128,14 @@ def structured_scan(f, P, Q):
     return tuple(pairs), all_induced, all_local
 
 
+def reference_count_satisfying(f):
+    """#SAT by testing each of the 2^n assignments in turn; bit v - 1 of
+    an assignment is variable v."""
+    return sum(all(any(((bits >> (var - 1)) & 1 == 1) == positive for var, positive in clause)
+                   for clause in f.clauses)
+               for bits in range(1 << f.n))
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)

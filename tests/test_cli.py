@@ -7,7 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from posetmatch import chain, gallai_tree, poset_from_permutation
+from posetmatch import chain, decomp, errors, gallai_tree, poset_from_permutation
 from posetmatch.core import format_permutation, format_poset
 from posetmatch.cli import run
 from posetmatch.decomp import tree_to_sexpr
@@ -277,7 +277,7 @@ def test_gen_perm_deterministic():
 def test_gen_bad_size_is_usage_error():
     for argv in (["gen", "poset", "-5", "0.5", "1"], ["gen", "perm", "0", "1"],
                  ["gen", "perm", "-2", "1"], ["gen", "poset", "5", "abc", "1"],
-                 ["gen", "perm", "5", "x"]):
+                 ["gen", "perm", "5", "x"], ["gen", "perm", "100000000000000000000", "1"]):
         code, out, err = invoke(argv)
         assert code == 1 and out == "" and "usage error" in err, argv
 
@@ -310,3 +310,38 @@ def test_bad_poset_file(tmp_path):
     path = write(tmp_path, "bad.poset", "p 3\nr 1 2\nr 2 1\nr 2 3\nr 1 3\n")
     code, _, err = invoke(["le", path])
     assert code == 2 and "error:" in err
+
+
+def test_non_utf8_input_is_a_format_error(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"p 2\nr 1 \xff2\n")
+    bad, good = str(bad), write(tmp_path, "n.poset", N_POSET)
+    outs = ["--pattern-out", str(tmp_path / "pat.perm"), "--text-out", str(tmp_path / "txt.perm")]
+    for argv in (["le", bad], ["occur", "--pattern", bad, "--text", good],
+                 ["occur", "--pattern", good, "--text", bad], ["decomp", bad], ["width", bad],
+                 ["iwidth", bad], ["chains", bad], ["sat-reduce", bad] + outs, ["sat-verify", bad]):
+        code, out, err = invoke(argv)
+        assert (code, out) == (2, "") and err.startswith("error: " + bad), argv
+        assert err.count("\n") == 1, argv
+
+
+def test_poset_count_past_maxsize(tmp_path):
+    path = write(tmp_path, "huge.poset", "p 99999999999999999999999\n")
+    code, out, err = invoke(["le", path])
+    assert (code, out) == (2, "") and err.startswith("error: line 1: ") and err.count("\n") == 1
+
+
+def test_every_library_error_maps_to_its_exit_code(tmp_path, monkeypatch):
+    path = write(tmp_path, "n.poset", N_POSET)
+    budget = {errors.SizeLimitError, errors.MemoryBudgetError, errors.TimeoutError}
+    kinds, stack = [], errors.PosetmatchError.__subclasses__()
+    while stack:
+        kinds.append(stack.pop())
+        stack += kinds[-1].__subclasses__()
+    assert budget < set(kinds) and errors.ArityError in kinds
+    for kind in kinds:
+        def fail(P, kind=kind):
+            raise kind("injected %s" % kind.__name__)
+        monkeypatch.setattr(decomp, "width", fail)
+        expected = (3 if kind in budget else 2, "", "error: injected %s\n" % kind.__name__)
+        assert invoke(["width", path]) == expected, kind

@@ -2,6 +2,7 @@
 
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -16,14 +17,16 @@ from posetmatch import (
 )
 from posetmatch.errors import (
     ArityError,
+    ConstraintError,
     FormatError,
     PolarityError,
     SizeLimitError,
     TimeoutError,
 )
+from posetmatch import sat
 from posetmatch.sat import VerifyReport, _search_blocks
 
-from conftest import structured_scan
+from conftest import reference_count_satisfying, structured_scan
 
 F1 = "p cnf 1 1\n1 1 1 0\n"
 F2 = "p cnf 1 2\n1 1 1 0\n-1 -1 -1 0\n"
@@ -164,6 +167,29 @@ def test_gadget_decreasing_slot_variables():
     build_gadget(f)
 
 
+def test_gadget_assertions_catch_cross_clause_regressions(monkeypatch):
+    # x2 sits in slots 2 and 3 of clause 1, then in slots 1 and 3 of clause 2
+    f = Cnf3(2, (((1, True), (2, True), (2, True)), ((2, False), (1, True), (2, False)),
+                 ((1, False), (1, False), (2, True))))
+    seen = []
+    monkeypatch.setattr(sat, "_assert_gadget_constraints", lambda *args: seen.append(args))
+    build_gadget(f)
+    monkeypatch.undo()
+    _, u, t, fv, _, _ = seen[0]
+    sat._assert_gadget_constraints(*seen[0])
+    # each value stays inside its interval and in order within its slot but
+    # falls just below the largest earlier value it must exceed: the last
+    # clause's u, x2's t in the last of its two slots, x2's f two clauses back
+    for values, key, bound, message in ((u, (3, 1), u[2, 1], "u not"),
+                                        (t, (2, 1, 1), t[1, 3, 4], "t not"),
+                                        (fv, (3, 3, 1), fv[2, 3, 3], "f not")):
+        tampered = dict(values)
+        tampered[key] = bound - Fraction(1, 10 ** 6)
+        args = [tampered if arg is values else arg for arg in seen[0]]
+        with pytest.raises(ConstraintError, match=message):
+            sat._assert_gadget_constraints(*args)
+
+
 # --- satisfiability oracle --------------------------------------------------
 
 def test_count_satisfying_examples():
@@ -176,6 +202,20 @@ def test_count_satisfying_budget():
     f = Cnf3(21, (((1, True), (2, True), (3, True)),))
     with pytest.raises(SizeLimitError):
         count_satisfying(f)
+
+
+def test_count_satisfying_matches_the_assignment_loop():
+    rng = random.Random(14)
+    formulas = [Cnf3(0, ()), Cnf3(4, ()), Cnf3(1, (((1, False),) * 3,))]
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        clauses = []
+        for _ in range(rng.randint(0, 12)):
+            polarity = {v: rng.random() < 0.5 for v in range(1, n + 1)}
+            clauses.append(tuple((v, polarity[v]) for v in (rng.randint(1, n) for _ in range(3))))
+        formulas.append(Cnf3(n, tuple(clauses)))
+    for f in formulas:
+        assert count_satisfying(f) == reference_count_satisfying(f), f
 
 
 # --- verification -----------------------------------------------------------
@@ -269,6 +309,15 @@ def test_timeout_bounds_building_a_large_gadget():
     except TimeoutError:
         pass
     assert time.monotonic() - start < 10
+
+
+def test_timeout_covers_building_the_gadget():
+    # |tau| = 35,024: building the gadget alone outlasts the timeout
+    f = random_cnf(random.Random(1000), 3, 1000)
+    start = time.monotonic()
+    with pytest.raises(TimeoutError):
+        verify_reduction(f, timeout=0.2)
+    assert time.monotonic() - start < 2
 
 
 def test_timeout_none_is_the_only_unbounded_value():
