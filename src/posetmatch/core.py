@@ -105,9 +105,6 @@ class Permutation:
         self.n = len(img)
         self.img = img
 
-    def __call__(self, i):
-        return self.img[i - 1]
-
     def inverse(self):
         inv = [0] * self.n
         for i, v in enumerate(self.img):

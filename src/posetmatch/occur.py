@@ -13,9 +13,10 @@ are counted by a popcount per candidate of the second-to-last, or, when
 it has many candidates for the text's size, by one big-int step.
 
 Unlabeled occurrences are orbits under precomposition with Aut(P).
-Counts use Burnside's lemma: the maps f with f∘g = f are those constant
-on the cycles of the automorphism g, so one search serves all g with the
-same cycles.  The orbit-minimum leaf filter serves enumeration only.
+Counts use Burnside's lemma: the maps f with f∘g = f for an automorphism
+g are the occurrences of the fold P/<g>, which has one element per cycle
+of g, so the backtracker counts one labeled poset per distinct fold.  The
+orbit-minimum leaf filter serves enumeration only.
 """
 
 import sys
@@ -23,7 +24,7 @@ import time
 from collections import Counter
 
 from . import errors
-from .core import OccurrenceFlavor, OccurrenceMap, poset_from_permutation
+from .core import OccurrenceFlavor, OccurrenceMap, Poset, poset_from_permutation
 
 DEFAULT_ENUM_BUDGET = 1_000_000
 
@@ -64,8 +65,8 @@ def _search_order(P, related, incomparable):
     return order
 
 
-def _count_maps(P, Q, induced, injective, deadline=None, visit=None, classes=None):
-    """Count occurrence maps by backtracking with forward checking.
+def _count_maps(P, Q, induced, injective, deadline=None, visit=None):
+    """Count occurrence maps of P in Q by backtracking with forward checking.
 
     Each level carries the candidate sets of every element not yet
     placed; placing an element ANDs its image's rows into the sets of the
@@ -81,11 +82,6 @@ def _count_maps(P, Q, induced, injective, deadline=None, visit=None, classes=Non
     n**3 >> 17 (the two multiplies cost about n**3), that sum is one
     big-int step: each text element's rows are stacked at stride n + 1,
     and the candidates, copied to their blocks, pick the blocks to meet.
-
-    When classes maps the cycle leaders of automorphisms g (see
-    _cycle_leaders) to weights, the result is the weighted sum over them
-    of the maps f with f∘g = f; the constraint table is built once, and
-    each class only adds its ties, each in place of a constraint.
     """
     k, n = P.n, Q.n
     # one frame per pattern element, and 100 left for the callers
@@ -106,26 +102,28 @@ def _count_maps(P, Q, induced, injective, deadline=None, visit=None, classes=Non
         last = k - 1
     else:
         order, last = range(k), k + 1  # no closed-form tail: every leaf is visited
-    position = {v: i for i, v in enumerate(order)}
-    # table[i]: (j, rows) for each later j-th element that the i-th one constrains
-    table = [[(j, rows) for j in range(i + 1, k) if (rows := constraint(v, order[j])) is not None]
+    # links[i]: (j, rows) for each later j-th element that the i-th one constrains
+    links = [[(j, rows) for j in range(i + 1, k) if (rows := constraint(v, order[j])) is not None]
              for i, v in enumerate(order)]
-    identity = tuple(range(1, k + 1))
-    same = [1 << j for j in range(n)]
     assignment = [0] * k
     cutoff = n ** 3 >> 17
     if visit is None and k >= 2:
         # an injective count drops the pairs with equal images, which the
         # last two elements' rows allow only when they are incomparable
         twin = injective and not P.comparable(order[last - 1] + 1, order[last] + 1)
+        # ends[x]: what the second-to-last at x leaves to the last (x
+        # itself included: twin takes it out of injective counts)
+        ends = links[last - 1][0][1] if links[last - 1] else [full] * n
         if cutoff < n:
-            # spread copies an n-bit set to every block of n bits, diagonal
-            # keeps bit t of block t, moved to the start of block t at stride n + 1
+            # stacked holds ends[x] in block x at stride n + 1; spread copies
+            # an n-bit set to every block of n bits, diagonal keeps bit t of
+            # block t, moved to the start of block t at stride n + 1
+            stacked = sum(row << (n + 1) * x for x, row in enumerate(ends))
             spread = ((1 << n * n) - 1) // ((1 << n) - 1)
             diagonal = ((1 << n * (n + 1)) - 1) // ((1 << n + 1) - 1)
 
     def extend(i, used, cands):
-        nonlocal count, nodes, stacked
+        nonlocal count, nodes
         nodes += 1
         if deadline is not None and nodes % 4096 == 1 and time.monotonic() > deadline:
             raise errors.TimeoutError("occurrence count exceeded its deadline")
@@ -142,10 +140,6 @@ def _count_maps(P, Q, induced, injective, deadline=None, visit=None, classes=Non
             if twin:
                 count -= (cand & rest).bit_count()
             if cand.bit_count() > cutoff:
-                if stacked is None:
-                    stacked = 0
-                    for row in reversed(ends):
-                        stacked = stacked << n + 1 | row
                 count += (stacked & (cand * spread & diagonal) * rest).bit_count()
                 return
             while cand:
@@ -166,28 +160,9 @@ def _count_maps(P, Q, induced, injective, deadline=None, visit=None, classes=Non
                 extend(i + 1, used | bit, later)
             cand &= cand - 1
 
-    total = 0
-    for leaders, weight in (classes or {identity: 1}).items():
-        if injective and leaders != identity:
-            continue  # f∘g = f forces f(v) = f(g(v)) for some g(v) != v
-        # f(v) = f(leader of v), checked when the earlier of the two is
-        # placed; the cycles of g are antichains, so this tie replaces the
-        # constraint between them, which allows equal images
-        links = [list(row) for row in table]
-        for v, lead in enumerate(leaders):
-            u = lead - 1
-            if u != v:
-                earlier, later = sorted((position[u], position[v]))
-                links[earlier] = [link for link in links[earlier] if link[0] != later] + [(later, same)]
-        if visit is None and k >= 2:
-            # ends[x]: what the second-to-last at x leaves to the last (x
-            # itself included: twin takes it out of injective counts)
-            ends = links[last - 1][0][1] if links[last - 1] else [full] * n
-            stacked = None
-        count = nodes = 0
-        extend(0, 0, [full] * k)
-        total += weight * count
-    return total
+    count = nodes = 0
+    extend(0, 0, [full] * k)
+    return count
 
 
 def automorphism_maps(P):
@@ -211,6 +186,23 @@ def _cycle_leaders(g):
         while not leaders[u]:
             leaders[u], u = v + 1, g[u] - 1
     return tuple(leaders)
+
+
+def _fold_cycles(P, leaders, induced):
+    """P/<g> for the automorphism g with these cycle leaders: one element
+    per cycle, numbered in order of its head (least element).  g carries
+    the head onto its whole cycle, so the head's up row gives the cycle's,
+    and as cycles are antichains the result is a poset.  Returns P for the
+    identity, and None for induced flavors when some cycle is not a module,
+    since then no map constant on the cycles is induced."""
+    heads = [v for v, lead in enumerate(leaders) if lead == v + 1]
+    if len(heads) == P.n:
+        return P
+    if induced and any((P.up[v], P.down[v]) != (P.up[lead - 1], P.down[lead - 1])
+                       for v, lead in enumerate(leaders)):
+        return None  # a cycle, an antichain, is a module iff its members share their rows
+    cycle = [heads.index(lead - 1) for lead in leaders]
+    return Poset(len(heads), [sum({1 << cycle[j] for j in range(P.n) if P.up[h] >> j & 1}) for h in heads])
 
 
 def _is_orbit_minimum(P):
@@ -254,13 +246,21 @@ def count_occurrences(P, Q, flavor, deadline=None):
 
     Labeled counts come straight from backtracking.  Unlabeled counts are
     orbits under precomposition with Aut(P), counted by Burnside's lemma:
-    the sum over automorphisms g of the maps f with f∘g = f, divided by
-    |Aut(P)|.  The deadline is checked as each search starts and every
-    4,096 nodes.
+    the sum over automorphisms g of the occurrences of the fold P/<g> (the
+    maps f with f∘g = f, see _fold_cycles), divided by |Aut(P)|, with one
+    search per distinct fold.  The deadline is checked as each search
+    starts and every 4,096 nodes.
     """
-    group = automorphism_maps(P) if flavor.unlabeled else [tuple(range(1, P.n + 1))]
-    total = _count_maps(P, Q, flavor.induced, flavor.injective, deadline,
-                        classes=Counter(map(_cycle_leaders, group)))
+    identity = tuple(range(1, P.n + 1))
+    group = automorphism_maps(P) if flavor.unlabeled else [identity]
+    folds = Counter()
+    for leaders, weight in Counter(map(_cycle_leaders, group)).items():
+        if flavor.injective and leaders != identity:
+            continue  # f∘g = f forces f(v) = f(g(v)) for some g(v) != v
+        if (fold := _fold_cycles(P, leaders, flavor.induced)) is not None:
+            folds[fold] += weight
+    total = sum(weight * _count_maps(fold, Q, flavor.induced, flavor.injective, deadline)
+                for fold, weight in folds.items())
     if total % len(group):
         raise errors.ConstraintError("Burnside sum %d over %d automorphisms" % (total, len(group)))
     return total // len(group)

@@ -280,18 +280,19 @@ def verify_reduction(f, method="structured", timeout=60.0):
     the (r, s)-indexed candidate maps block by block (_search_blocks),
     recording which pairs matched and whether every match is induced and
     block-local.  Either method raises TimeoutError once timeout seconds
-    have passed, counted from entry, so building the gadget and #SAT
-    count against it too; timeout=None sets no deadline.
+    have passed, counted from entry, so #SAT and then building the gadget
+    count against it too (a formula past #SAT's n <= 20 budget is refused
+    before the gadget is built); timeout=None sets no deadline.
     """
     if method not in ("backtrack", "structured"):
         raise ValueError("unknown method %r" % method)
     if timeout is not None and not math.isfinite(timeout):
         raise ValueError("timeout must be a finite number of seconds or None, got %r" % timeout)
     deadline = time.monotonic() + timeout if timeout is not None else None
-    gadget = build_gadget(f)
-    _check(deadline, "building the gadget")
     sat = count_satisfying(f)
     _check(deadline, "#SAT")
+    gadget = build_gadget(f)
+    _check(deadline, "building the gadget")
     P = poset_from_permutation(gadget.pattern)
     Q = poset_from_permutation(gadget.text)
     _check(deadline, "building the gadget posets")

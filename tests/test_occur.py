@@ -20,6 +20,7 @@ from posetmatch import (
     poset_from_relations,
 )
 from posetmatch.errors import SizeError, SizeLimitError, TimeoutError
+from posetmatch import occur
 from posetmatch.occur import _search_order, automorphism_maps
 
 from conftest import brute_automorphisms, brute_occurrences, random_poset, relabel
@@ -133,12 +134,46 @@ def test_unlabeled_count_honours_a_passed_deadline():
 
 
 @pytest.mark.parametrize("k, m", [(8, 2), (7, 3), (6, 4)])
-def test_unlabeled_antichain_in_antichain_is_multisets(k, m):
+def test_unlabeled_antichain_in_antichain_is_multisets(k, m, rng):
     # orbits of all maps antichain(k) -> antichain(m) under the k! relabelings
-    # are the multisets of size k drawn from m elements
+    # are the multisets of size k drawn from m elements; non-induced maps of
+    # an antichain are all maps, into any text
     for induced in (False, True):
         flavor = OccurrenceFlavor(induced=induced, injective=False, unlabeled=True)
         assert count_occurrences(antichain(k), antichain(m), flavor) == comb(m + k - 1, k)
+    Q = random_poset(rng, m + 2, 0.5)
+    assert Q.relations()
+    flavor = OccurrenceFlavor(induced=False, injective=False, unlabeled=True)
+    assert count_occurrences(antichain(k), Q, flavor) == comb(Q.n + k - 1, k)
+
+
+def test_unlabeled_count_runs_one_search_per_distinct_fold(monkeypatch):
+    # the 4,140 cycle partitions of Aut(antichain(8)) fold to antichain(c)
+    # for c = 1..8: eight counting searches, after the one that lists Aut
+    calls = []
+    search = occur._count_maps
+    monkeypatch.setattr(occur, "_count_maps", lambda P, *args, **kw: calls.append(P) or search(P, *args, **kw))
+    flavor = OccurrenceFlavor(induced=False, injective=False, unlabeled=True)
+    assert count_occurrences(antichain(8), antichain(2), flavor) == comb(9, 8)
+    assert sorted(P.n for P in calls[1:]) == list(range(1, 9))
+    assert len(calls) == 9
+
+
+# automorphisms whose cycles are not modules (a swap of two 2-chains pairs
+# each bottom with a top it is incomparable to) fold to nothing for induced
+# flavors; the star's and the antichain's cycles are modules
+NON_MODULE_CYCLES = [poset_from_relations(4, [(1, 2), (3, 4)]),
+                     poset_from_relations(6, [(1, 2), (3, 4), (5, 6)]),
+                     poset_from_relations(5, [(1, b) for b in range(2, 6)]), antichain(4)]
+
+
+def test_counts_match_oracle_when_cycles_are_not_modules(rng):
+    for P in NON_MODULE_CYCLES:
+        for P2 in (P, relabel(rng, P)):
+            Q = random_poset(rng, rng.randint(3, 7 if P.n <= 5 else 5))
+            for flavor in ALL_FLAVORS:
+                assert count_occurrences(P2, Q, flavor) == len(brute_occurrences(P2, Q, flavor)), \
+                    (P2, Q, flavor)
 
 
 @pytest.mark.parametrize("flavor", ALL_FLAVORS)

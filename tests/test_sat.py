@@ -204,6 +204,17 @@ def test_count_satisfying_budget():
         count_satisfying(f)
 
 
+def test_verify_counts_sat_before_building_the_gadget(monkeypatch):
+    # a formula past the #SAT budget is refused before the gadget's 4n- and
+    # 8n-element lists are built
+    def build_gadget(f):
+        raise AssertionError("the gadget was built for n = %d" % f.n)
+
+    monkeypatch.setattr(sat, "build_gadget", build_gadget)
+    with pytest.raises(SizeLimitError):
+        verify_reduction(Cnf3(21, ()))
+
+
 def test_count_satisfying_matches_the_assignment_loop():
     rng = random.Random(14)
     formulas = [Cnf3(0, ()), Cnf3(4, ()), Cnf3(1, (((1, False),) * 3,))]
