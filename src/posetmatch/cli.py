@@ -11,7 +11,7 @@ import sys
 
 from . import core, decomp, errors, lecount, occur, sat
 
-BUDGET_ERRORS = (errors.SizeLimitError, errors.MemoryBudgetError, errors.TimeoutError)
+BUDGET_ERRORS = (errors.SizeLimitError, errors.MemoryBudgetError, errors.TimeoutError, MemoryError)
 LE_METHODS = {
     "auto": lecount.count_linear_extensions,
     "downset": lecount.count_le_downset_dp,
@@ -44,12 +44,14 @@ def _load_poset(path, as_permutation=False):
     return core.parse_poset(text)
 
 
-def _seconds(text):
-    """A positive, finite number of seconds."""
-    value = float(text)
-    if not (0 < value < math.inf):
-        raise argparse.ArgumentTypeError("expected a positive finite number of seconds, got %r" % text)
-    return value
+def _real(accept, expected):
+    """Argument type: a float that accept holds for (nan fails every comparison)."""
+    def real(text):
+        value = float(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError("expected %s, got %r" % (expected, text))
+        return value
+    return real
 
 
 def _size(least):
@@ -110,13 +112,13 @@ def build_parser():
     p = sub.add_parser("sat-verify", help="verify the reduction on a formula")
     p.add_argument("cnf")
     p.add_argument("--method", choices=["backtrack", "structured"], default="structured")
-    p.add_argument("--timeout", type=_seconds, default=60.0)
+    p.add_argument("--timeout", type=_real(lambda s: 0 < s < math.inf, "0 < seconds < inf"), default=60.0)
 
     kinds = sub.add_parser("gen", help="generate seeded instances").add_subparsers(
         dest="kind", required=True)
     p = kinds.add_parser("poset")
     p.add_argument("n", type=_size(0))
-    p.add_argument("prob", type=float, help="edge probability")
+    p.add_argument("prob", type=_real(lambda p: 0 <= p <= 1, "0 <= p <= 1"), help="edge probability")
     p.add_argument("seed", type=int)
     p = kinds.add_parser("perm")
     p.add_argument("n", type=_size(1))
@@ -195,7 +197,7 @@ def run(argv, out=None, err=None):
         err.write("usage error: %s\n" % exc)
         return 1
     except BUDGET_ERRORS as exc:
-        err.write("error: %s\n" % exc)
+        err.write("error: %s\n" % (str(exc) or "out of memory"))
         return 3
     except (errors.PosetmatchError, OSError) as exc:
         err.write("error: %s\n" % exc)

@@ -33,26 +33,16 @@ class Poset:
     """A strict partial order on 1..n, transitively closed.
 
     The relation is stored as bitmask rows: ``up[i]`` has bit j set iff
-    element i+1 strictly precedes element j+1.  Instances are immutable;
-    construct them through poset_from_relations or poset_from_permutation.
+    element i+1 strictly precedes element j+1, and ``down`` is the transpose;
+    both are required.  Instances are immutable; build them with
+    poset_from_relations, poset_from_permutation, restrict, chain or antichain.
     """
 
     __slots__ = ("n", "up", "down", "_hash")
 
-    def __init__(self, n, up, down=None):
-        """down, when the caller already has it, must be the transpose of
-        up (bit i of down[j] set iff bit j of up[i] is); otherwise it is
-        derived here."""
+    def __init__(self, n, up, down):
         self.n = n
         self.up = tuple(up)
-        if down is None:
-            down = [0] * n
-            for i in range(n):
-                row = self.up[i]
-                while row:
-                    j = (row & -row).bit_length() - 1
-                    down[j] |= 1 << i
-                    row &= row - 1
         self.down = tuple(down)
         self._hash = hash((n, self.up))
 
@@ -171,7 +161,12 @@ def poset_from_relations(n, pairs):
     for i in range(n):
         if up[i] & (1 << i):
             raise CycleError("closure creates a cycle through %d" % (i + 1))
-    return Poset(n, up)
+    down = [0] * n
+    for i, row in enumerate(up):
+        while row:
+            down[(row & -row).bit_length() - 1] |= 1 << i
+            row &= row - 1
+    return Poset(n, up, down)
 
 
 def poset_from_permutation(sigma):
@@ -197,17 +192,28 @@ def restrict(P, subset):
     for x in elems:
         if not 1 <= x <= P.n:
             raise RangeError("element %r outside 1..%d" % (x, P.n))
-    index = {x - 1: j for j, x in enumerate(elems)}
-    keep = sum(1 << i for i in index)
-    up, down = [0] * len(elems), [0] * len(elems)
-    for i, j in index.items():
-        row = P.up[i] & keep
+    return _collapse(P, [(x,) for x in elems])
+
+
+def _collapse(P, blocks):
+    """The poset on a list of disjoint blocks of P's elements, in its order:
+    block A lies below block B iff some member of A precedes some member of
+    B, a partial order when the blocks are modules or automorphism cycles."""
+    k = len(blocks)
+    which = {x - 1: i for i, block in enumerate(blocks) for x in block}
+    masks, rows, up, down = [0] * k, [0] * k, [0] * k, [0] * k
+    for x, i in which.items():
+        masks[i] |= 1 << x
+        rows[i] |= P.up[x]
+    keep = sum(masks)
+    for i, row in enumerate(rows):
+        row &= keep & ~masks[i]
         while row:
-            k = index[(row & -row).bit_length() - 1]
-            up[j] |= 1 << k
-            down[k] |= 1 << j
-            row &= row - 1
-    return Poset(len(elems), up, down)
+            j = which[(row & -row).bit_length() - 1]
+            up[i] |= 1 << j
+            down[j] |= 1 << i
+            row &= ~masks[j]
+    return Poset(k, up, down)
 
 
 def is_occurrence(f, P, Q, flavor):
@@ -237,16 +243,12 @@ def is_occurrence(f, P, Q, flavor):
 
 def chain(n):
     """The total order 1 < 2 < ... < n."""
-    up = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            up[i] |= 1 << j
-    return Poset(n, up)
+    return poset_from_permutation(Permutation(range(1, n + 1)))
 
 
 def antichain(n):
     """n pairwise-incomparable elements."""
-    return Poset(n, [0] * n)
+    return Poset(n, [0] * n, [0] * n)
 
 
 # --- textual formats -------------------------------------------------------

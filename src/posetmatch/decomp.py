@@ -11,7 +11,7 @@ Sullivan 1994): each such module is a class or lies in x's class.
 
 from dataclasses import dataclass, field
 
-from .core import Permutation, Poset, poset_from_permutation, poset_from_relations, restrict
+from .core import Permutation, Poset, _collapse, poset_from_permutation, poset_from_relations, restrict
 from .errors import ConstraintError, NotAModuleError, RangeError
 
 __all__ = [
@@ -217,14 +217,7 @@ def quotient(P, parts):
             seen |= bit
     if seen != (1 << P.n) - 1:
         raise NotAModuleError("blocks do not cover the ground set")
-    reps = [min(part) for part in parts]
-    k = len(reps)
-    up = [0] * k
-    for i in range(k):
-        for j in range(k):
-            if i != j and P.less(reps[i], reps[j]):
-                up[i] |= 1 << j
-    return Poset(k, up)
+    return _collapse(P, parts)
 
 
 def dilworth(P):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import accumulate, permutations
 from math import comb, factorial, prod
 
-from .core import Poset, poset_from_permutation
+from .core import Poset, poset_from_permutation, poset_from_relations
 from .decomp import _permutation_encoding, dilworth, fold_tree, gallai_tree
 from .errors import MemoryBudgetError, RangeError, SizeError, SizeLimitError
 from .occur import automorphism_maps
@@ -108,16 +108,12 @@ def downset_lattice(P, cd):
 def lattice_as_poset(lattice):
     """The down-set lattice ordered by inclusion, as a Poset.
 
-    Nodes are numbered 1..N in order of (size, key); inclusion is
-    componentwise comparison of prefix vectors.
+    Nodes are numbered 1..N in order of (size, key); inclusion is the
+    transitive closure of the lattice's covers.
     """
     keys = sorted(lattice.nodes, key=lambda key: (sum(key), key))
-    up = [0] * len(keys)
-    for i, a in enumerate(keys):
-        for j, b in enumerate(keys):
-            if a != b and all(x <= y for x, y in zip(a, b)):
-                up[i] |= 1 << j
-    return Poset(len(keys), up)
+    index = {key: i for i, key in enumerate(keys, 1)}
+    return poset_from_relations(len(keys), [(index[c], index[key]) for key in keys for c in lattice.nodes[key]])
 
 
 def count_le_downset_dp(P, node_budget=DEFAULT_NODE_BUDGET):

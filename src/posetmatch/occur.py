@@ -24,7 +24,7 @@ import time
 from collections import Counter
 
 from . import errors
-from .core import OccurrenceFlavor, OccurrenceMap, Poset, poset_from_permutation
+from .core import OccurrenceFlavor, OccurrenceMap, _collapse, poset_from_permutation
 
 DEFAULT_ENUM_BUDGET = 1_000_000
 
@@ -190,19 +190,18 @@ def _cycle_leaders(g):
 
 def _fold_cycles(P, leaders, induced):
     """P/<g> for the automorphism g with these cycle leaders: one element
-    per cycle, numbered in order of its head (least element).  g carries
-    the head onto its whole cycle, so the head's up row gives the cycle's,
-    and as cycles are antichains the result is a poset.  Returns P for the
+    per cycle, in order of its head (least element).  Returns P for the
     identity, and None for induced flavors when some cycle is not a module,
     since then no map constant on the cycles is induced."""
-    heads = [v for v, lead in enumerate(leaders) if lead == v + 1]
-    if len(heads) == P.n:
+    cycles = {}
+    for v, lead in enumerate(leaders, 1):
+        cycles.setdefault(lead, []).append(v)
+    if len(cycles) == P.n:
         return P
     if induced and any((P.up[v], P.down[v]) != (P.up[lead - 1], P.down[lead - 1])
                        for v, lead in enumerate(leaders)):
         return None  # a cycle, an antichain, is a module iff its members share their rows
-    cycle = [heads.index(lead - 1) for lead in leaders]
-    return Poset(len(heads), [sum({1 << cycle[j] for j in range(P.n) if P.up[h] >> j & 1}) for h in heads])
+    return _collapse(P, list(cycles.values()))
 
 
 def _is_orbit_minimum(P):
@@ -251,19 +250,20 @@ def count_occurrences(P, Q, flavor, deadline=None):
     search per distinct fold.  The deadline is checked as each search
     starts and every 4,096 nodes.
     """
-    identity = tuple(range(1, P.n + 1))
-    group = automorphism_maps(P) if flavor.unlabeled else [identity]
+    # f∘g = f forces f(v) = f(g(v)), so only the identity fixes an injective
+    # map: those counts need the order of Aut(P), not its members
+    fold_all = flavor.unlabeled and not flavor.injective
+    group = automorphism_maps(P) if fold_all else [tuple(range(1, P.n + 1))]
     folds = Counter()
     for leaders, weight in Counter(map(_cycle_leaders, group)).items():
-        if flavor.injective and leaders != identity:
-            continue  # f∘g = f forces f(v) = f(g(v)) for some g(v) != v
         if (fold := _fold_cycles(P, leaders, flavor.induced)) is not None:
             folds[fold] += weight
+    order = _count_maps(P, P, True, True) if flavor.unlabeled and not fold_all else len(group)
     total = sum(weight * _count_maps(fold, Q, flavor.induced, flavor.injective, deadline)
                 for fold, weight in folds.items())
-    if total % len(group):
-        raise errors.ConstraintError("Burnside sum %d over %d automorphisms" % (total, len(group)))
-    return total // len(group)
+    if total % order:
+        raise errors.ConstraintError("Burnside sum %d over %d automorphisms" % (total, order))
+    return total // order
 
 
 def match_permutation(sigma_P, sigma_Q, induced):

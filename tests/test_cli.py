@@ -277,7 +277,9 @@ def test_gen_perm_deterministic():
 def test_gen_bad_size_is_usage_error():
     for argv in (["gen", "poset", "-5", "0.5", "1"], ["gen", "perm", "0", "1"],
                  ["gen", "perm", "-2", "1"], ["gen", "poset", "5", "abc", "1"],
-                 ["gen", "perm", "5", "x"], ["gen", "perm", "100000000000000000000", "1"]):
+                 ["gen", "perm", "5", "x"], ["gen", "perm", "100000000000000000000", "1"],
+                 ["gen", "poset", "5", "nan", "1"], ["gen", "poset", "5", "-2", "1"],
+                 ["gen", "poset", "5", "7", "1"], ["gen", "poset", "5", "inf", "1"]):
         code, out, err = invoke(argv)
         assert code == 1 and out == "" and "usage error" in err, argv
 
@@ -329,6 +331,15 @@ def test_poset_count_past_maxsize(tmp_path):
     path = write(tmp_path, "huge.poset", "p 99999999999999999999999\n")
     code, out, err = invoke(["le", path])
     assert (code, out) == (2, "") and err.startswith("error: line 1: ") and err.count("\n") == 1
+
+
+def test_unallocatable_size_is_a_budget_error(tmp_path):
+    # at sys.maxsize the list's byte size overflows, so Python raises
+    # MemoryError before it allocates anything
+    path = write(tmp_path, "max.poset", "p %d\n" % sys.maxsize)
+    for argv in (["width", path], ["gen", "perm", str(sys.maxsize), "1"]):
+        code, out, err = invoke(argv)
+        assert (code, out, err) == (3, "", "error: out of memory\n"), argv
 
 
 def test_every_library_error_maps_to_its_exit_code(tmp_path, monkeypatch):

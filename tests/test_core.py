@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,9 +20,12 @@ from posetmatch.core import (
     parse_permutation,
     parse_poset,
 )
+from posetmatch.decomp import dilworth, gallai_tree, quotient
 from posetmatch.errors import CycleError, FormatError, RangeError
+from posetmatch.lecount import downset_lattice, inflate, lattice_as_poset
+from posetmatch.occur import _cycle_leaders, _fold_cycles, automorphism_maps
 
-from conftest import random_poset
+from conftest import random_poset, relabel
 
 permutations_st = st.integers(1, 7).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))
@@ -121,6 +125,79 @@ def test_restrict_matches_pairwise_reference(rng):
             assert got == want
             assert got.down == tuple(sum(1 << i for i in range(m) if got.up[i] >> j & 1) for j in range(m))
     assert restrict(chain(4), []) == antichain(0)
+
+
+def seeded_posets(count=60):
+    """The same random posets on 1..9 elements for every caller, every
+    other one relabeled."""
+    rng = random.Random(0xB10C)
+    for i in range(count):
+        P = random_poset(rng, rng.randint(1, 9))
+        yield relabel(rng, P) if i % 2 else P
+
+
+def cycles_of(g):
+    """The cycles of the permutation g (images of 1..n), each listed from
+    its least element, in order of those."""
+    cycles, seen = [], set()
+    for v in range(1, len(g) + 1):
+        if v not in seen:
+            cycle = [v]
+            while g[cycle[-1] - 1] != v:
+                cycle.append(g[cycle[-1] - 1])
+            seen.update(cycle)
+            cycles.append(cycle)
+    return cycles
+
+
+def blockwise(P, blocks):
+    """The poset on the blocks by definition: block A lies below block B
+    iff some a in A precedes some b in B."""
+    return poset_from_relations(len(blocks), [
+        (i, j) for i, A in enumerate(blocks, 1) for j, B in enumerate(blocks, 1)
+        if i != j and any(P.less(a, b) for a in A for b in B)])
+
+
+def assert_rows_transposed(P):
+    assert len(P.up) == len(P.down) == P.n, P
+    assert all(row >> P.n == 0 for row in P.up + P.down), P
+    assert all(P.up[i] >> j & 1 == P.down[j] >> i & 1 for i in range(P.n) for j in range(P.n)), P
+
+
+def test_every_constructor_hands_poset_transposed_rows(rng):
+    for n in range(6):
+        assert_rows_transposed(chain(n))
+        assert_rows_transposed(antichain(n))
+    for P in seeded_posets():
+        tree = gallai_tree(P)
+        built = [P, poset_from_permutation(Permutation(rng.sample(range(1, P.n + 1), P.n))),
+                 restrict(P, rng.sample(range(1, P.n + 1), rng.randint(0, P.n))),
+                 inflate(P, [rng.randint(1, 3) for _ in range(P.n)]),
+                 lattice_as_poset(downset_lattice(P, dilworth(P)))]
+        if tree.children:
+            built.append(quotient(P, [child.elements for child in tree.children]))
+        built += [node.quotient for node in tree.nodes() if node.kind == "prime"]
+        for g in automorphism_maps(P):
+            built += [fold for induced in (False, True)
+                      if (fold := _fold_cycles(P, _cycle_leaders(g), induced)) is not None]
+        for Q in built:
+            assert_rows_transposed(Q)
+
+
+def test_quotients_and_folds_match_the_block_definition():
+    # a node's children and the singletons outside it are modules of P;
+    # non-induced folds take every automorphism, whose cycles need not be
+    # modules, so that a rule reading one member per block is caught
+    rows = lambda Q: (Q.n, Q.up, Q.down)
+    for P in seeded_posets():
+        for node in gallai_tree(P).nodes():
+            blocks = [child.elements for child in node.children]
+            blocks += [(x,) for x in range(1, P.n + 1) if x not in node.elements]
+            if node.children:
+                assert rows(quotient(P, blocks)) == rows(blockwise(P, blocks)), (P, blocks)
+        for g in automorphism_maps(P):
+            want = blockwise(P, cycles_of(g))
+            assert rows(_fold_cycles(P, _cycle_leaders(g), False)) == rows(want), (P, g)
 
 
 def test_is_occurrence_examples():

@@ -159,6 +159,13 @@ def test_unlabeled_count_runs_one_search_per_distinct_fold(monkeypatch):
     assert len(calls) == 9
 
 
+def test_unlabeled_injective_count_does_not_list_automorphisms(monkeypatch):
+    # only the identity fixes an injective map, so |Aut(P)| is counted, not listed
+    monkeypatch.setattr(occur, "automorphism_maps", lambda P: pytest.fail("Aut(P) listed"))
+    for induced in (False, True):
+        assert count_occurrences(antichain(3), antichain(4), OccurrenceFlavor(induced, True, True)) == 4
+
+
 # automorphisms whose cycles are not modules (a swap of two 2-chains pairs
 # each bottom with a top it is incomparable to) fold to nothing for induced
 # flavors; the star's and the antichain's cycles are modules
