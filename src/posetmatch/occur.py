@@ -7,10 +7,12 @@ one of them empty is dropped at once.  Counting, enumeration (a leaf
 visitor that collects maps), automorphisms (induced injective
 self-occurrences) and permutation pattern matching (occurrences between
 dimension-2 posets) all run on it.  Leaf visitors get label order, so
-maps come out in lexicographic order.  Counts place the most constrained
-elements first, and the last two elements are not searched: their pairs
-are counted by a popcount per candidate of the second-to-last, or, when
-it has many candidates for the text's size, by one big-int step.
+maps come out in lexicographic order.  Counts place first the element
+with the most constraints to those placed, counting related pairs, or
+incomparable ones in induced searches where those are the scarcer kind,
+and leave the last two elements unsearched: their pairs are counted by
+a popcount per candidate of the second-to-last, or, when it has many
+candidates for the text's size, by one big-int step.
 
 Unlabeled occurrences are orbits under precomposition with Aut(P).
 Counts use Burnside's lemma: the maps f with f∘g = f for an automorphism
@@ -37,28 +39,22 @@ __all__ = [
 ]
 
 
-def _search_order(P, related, incomparable):
-    """P's elements, most constrained first.
+def _search_order(P, dense):
+    """P's elements, most constrained first (fail-first).
 
-    related and incomparable are the mean shares of text elements that a
-    constraint of that kind leaves to an element, given its partner's
-    image (incomparable is 1 when incomparability is not required).  Each
-    next element is the one whose constraints to the elements already
-    placed leave the least expected share; ties go to the one whose
-    constraints to the elements not yet placed leave the least, then to
-    the lowest label.
+    A constraint is a pair of P's elements whose images must be related,
+    or, when dense, a pair whose images must be incomparable: an induced
+    search in a text with more related than incomparable pairs prunes
+    more by the scarcer kind.  Each next element is the one with the most
+    constraints to the elements already placed; ties go to the one with
+    the most to the elements not yet placed, then to the lowest label.
     """
-    k = P.n
-    rel = [P.up[v] | P.down[v] for v in range(k)]
-    inc = [((1 << k) - 1) & ~rel[v] & ~(1 << v) for v in range(k)]
-    power = [(related ** c, incomparable ** c) for c in range(k)]
-
-    def expected(v, among):
-        return power[(rel[v] & among).bit_count()][0] * power[(inc[v] & among).bit_count()][1]
-
-    placed, order, left = 0, [], list(range(k))
+    rows = [P.up[v] | P.down[v] for v in range(P.n)]
+    if dense:
+        rows = [((1 << P.n) - 1) & ~row & ~(1 << v) for v, row in enumerate(rows)]
+    placed, order, left = 0, [], list(range(P.n))
     while left:
-        v = min(left, key=lambda v: (expected(v, placed), expected(v, ~placed)))
+        v = max(left, key=lambda v: ((rows[v] & placed).bit_count(), (rows[v] & ~placed).bit_count(), -v))
         left.remove(v)
         order.append(v)
         placed |= 1 << v
@@ -76,12 +72,12 @@ def _count_maps(P, Q, induced, injective, deadline=None, visit=None):
     lexicographic order of assignment vectors; visit is called with the
     assignment at every leaf, and the leaf counts only if it returns a
     true value.  Otherwise the order is fixed once by _search_order, and
-    no leaf is reached: the last element adds the size of its candidate
-    set, and the second-to-last adds, over its candidates x, the size of
-    what x's rows leave of the last one's set.  With more candidates than
-    n**3 >> 17 (the two multiplies cost about n**3), that sum is one
-    big-int step: each text element's rows are stacked at stride n + 1,
-    and the candidates, copied to their blocks, pick the blocks to meet.
+    a pattern of two or more elements reaches no leaf: the second-to-last
+    element adds, over its candidates x, the size of what x's rows leave
+    of the last one's set.  With more candidates than n**3 >> 17 (the two
+    multiplies cost about n**3), that sum is one big-int step: each text
+    element's rows are stacked at stride n + 1, and the candidates,
+    copied to their blocks, pick the blocks to meet.
     """
     k, n = P.n, Q.n
     # one frame per pattern element, and 100 left for the callers
@@ -97,8 +93,8 @@ def _count_maps(P, Q, induced, injective, deadline=None, visit=None):
         return Q.up if P.up[u] >> v & 1 else Q.down if P.down[u] >> v & 1 else incomparable
 
     if visit is None:
-        share = lambda rows: sum(map(int.bit_count, rows)) / (n * n or 1)
-        order = _search_order(P, share(Q.up), share(incomparable) if induced else 1.0)
+        # dense: the incomparable rows hold n * n - 2 * |up| bits, fewer than 2 * |up|
+        order = _search_order(P, induced and 3 * sum(map(int.bit_count, Q.up)) > n * n)
         last = k - 1
     else:
         order, last = range(k), k + 1  # no closed-form tail: every leaf is visited
@@ -132,9 +128,6 @@ def _count_maps(P, Q, induced, injective, deadline=None, visit=None):
                 count += 1
             return
         cand = cands[i] & ~used if injective else cands[i]
-        if i == last:
-            count += cand.bit_count()
-            return
         if i == last - 1:
             rest = cands[last] & ~used if injective else cands[last]
             if twin:
@@ -247,18 +240,21 @@ def count_occurrences(P, Q, flavor, deadline=None):
     orbits under precomposition with Aut(P), counted by Burnside's lemma:
     the sum over automorphisms g of the occurrences of the fold P/<g> (the
     maps f with f∘g = f, see _fold_cycles), divided by |Aut(P)|, with one
-    search per distinct fold.  The deadline is checked as each search
+    search per distinct fold.  The deadline covers every search, the one
+    that lists or counts Aut(P) included, and is checked as each search
     starts and every 4,096 nodes.
     """
     # f∘g = f forces f(v) = f(g(v)), so only the identity fixes an injective
     # map: those counts need the order of Aut(P), not its members
     fold_all = flavor.unlabeled and not flavor.injective
-    group = automorphism_maps(P) if fold_all else [tuple(range(1, P.n + 1))]
+    group = [] if fold_all else [tuple(range(1, P.n + 1))]
+    if fold_all:  # Aut(P), listed as automorphism_maps does, under the deadline
+        _count_maps(P, P, True, True, deadline, lambda g: group.append(tuple(g)))
     folds = Counter()
     for leaders, weight in Counter(map(_cycle_leaders, group)).items():
         if (fold := _fold_cycles(P, leaders, flavor.induced)) is not None:
             folds[fold] += weight
-    order = _count_maps(P, P, True, True) if flavor.unlabeled and not fold_all else len(group)
+    order = _count_maps(P, P, True, True, deadline) if flavor.unlabeled and not fold_all else len(group)
     total = sum(weight * _count_maps(fold, Q, flavor.induced, flavor.injective, deadline)
                 for fold, weight in folds.items())
     if total % order:

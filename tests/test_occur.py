@@ -89,14 +89,19 @@ def test_search_order_places_the_most_constrained_first():
     # label, and the isolated element last, where the count adds it by
     # popcount; constraints of one kind alone tie, and label order decides
     P = poset_from_relations(4, [(2, 3), (3, 4)])
-    assert _search_order(P, 0.2, 1.0) == [1, 2, 3, 0]
-    assert _search_order(antichain(4), 0.2, 1.0) == _search_order(chain(4), 0.2, 0.5) == [0, 1, 2, 3]
+    assert _search_order(P, False) == [1, 2, 3, 0]
+    assert _search_order(antichain(4), False) == _search_order(chain(4), False) == [0, 1, 2, 3]
     # induced, with incomparable pairs the more selective: 1, incomparable
     # to all others, goes first; of 1 < 2, 3, 4, the pairwise incomparable
     # 2, 3, 4 go before 1
-    assert _search_order(P, 0.4, 0.1) == [0, 1, 2, 3]
+    assert _search_order(P, True) == [0, 1, 2, 3]
     Q = poset_from_relations(4, [(1, 2), (1, 3), (1, 4)])
-    assert _search_order(Q, 0.4, 0.1) == [1, 2, 3, 0]
+    assert _search_order(Q, True) == [1, 2, 3, 0]
+    # 30 pairwise incomparable bottoms below a 170-chain: each chain element
+    # has 199 constraints, each bottom 170, so the order starts at the chain
+    # however many constraints there are
+    R = poset_from_relations(200, [(b, 31) for b in range(1, 31)] + [(c, c + 1) for c in range(31, 200)])
+    assert _search_order(R, False)[0] == 30
 
 
 def test_counts_match_oracle_when_search_order_is_not_label_order(rng):
@@ -124,13 +129,19 @@ def test_counts_are_relabel_invariant_beyond_the_oracle(seed):
         assert count_occurrences(P, Q, flavor) == count_occurrences(P2, Q2, flavor), flavor
 
 
-def test_unlabeled_count_honours_a_passed_deadline():
+def test_unlabeled_count_honours_a_passed_deadline(monkeypatch):
     # antichain(2) has two automorphisms, so the count runs two searches,
-    # each far shorter than the interval between deadline checks
+    # each far shorter than the interval between deadline checks; the
+    # first, which lists or counts Aut(P), must be the one that raises
+    calls = []
+    search = occur._count_maps
+    monkeypatch.setattr(occur, "_count_maps", lambda P, *args, **kw: calls.append(P) or search(P, *args, **kw))
     for injective in (False, True):
+        calls.clear()
         with pytest.raises(TimeoutError):
             count_occurrences(antichain(2), chain(3), OccurrenceFlavor(False, injective, True),
                               deadline=time.monotonic() - 1)
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("k, m", [(8, 2), (7, 3), (6, 4)])
