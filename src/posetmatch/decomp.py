@@ -103,23 +103,20 @@ def _mask_to_elems(mask):
 def _min_module(P, seed_mask, scope_mask):
     """Smallest module of P (within scope) containing the seed elements.
 
-    Repeatedly absorbs any element that sees the current set non-uniformly
-    (a "splitter") until none remains.
+    An element outside a module relates to each member t as to the least
+    member s, so a module holding the seed holds every element of the
+    scope above or below exactly one of t and s.  Taking each member once
+    and absorbing those elements closes the seed into the smallest such
+    module; an empty seed stays empty.
     """
-    T = seed_mask
-    changed = True
-    while changed:
-        changed = False
-        outside = scope_mask & ~T
-        probe = outside
-        while probe:
-            z = (probe & -probe).bit_length() - 1
-            probe &= probe - 1
-            up = P.up[z] & T
-            down = P.down[z] & T
-            if (up != 0 and up != T) or (down != 0 and down != T):
-                T |= 1 << z
-                changed = True
+    T = todo = seed_mask
+    s = (T & -T).bit_length() - 1
+    while todo and T != scope_mask:
+        t = (todo & -todo).bit_length() - 1
+        todo &= todo - 1
+        new = ((P.up[t] ^ P.up[s]) | (P.down[t] ^ P.down[s])) & scope_mask & ~T
+        T |= new
+        todo |= new
     return T
 
 

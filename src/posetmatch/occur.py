@@ -10,9 +10,10 @@ dimension-2 posets) all run on it.  Leaf visitors get label order, so
 maps come out in lexicographic order.  Counts place first the element
 with the most constraints to those placed, counting related pairs, or
 incomparable ones in induced searches where those are the scarcer kind,
-and leave the last two elements unsearched: their pairs are counted by
-a popcount per candidate of the second-to-last, or, when it has many
-candidates for the text's size, by one big-int step.
+and leave the last two elements unsearched: the third-to-last loops
+over its own images, with no call per image, and for each adds the
+pairs of the last two by a popcount per candidate of the second-to-last,
+or, when it has many candidates for the text's size, by one big-int step.
 
 Unlabeled occurrences are orbits under precomposition with Aut(P).
 Counts use Burnside's lemma: the maps f with f∘g = f for an automorphism
@@ -72,12 +73,18 @@ def _count_maps(P, Q, induced, injective, deadline=None, visit=None):
     lexicographic order of assignment vectors; visit is called with the
     assignment at every leaf, and the leaf counts only if it returns a
     true value.  Otherwise the order is fixed once by _search_order, and
-    a pattern of two or more elements reaches no leaf: the second-to-last
-    element adds, over its candidates x, the size of what x's rows leave
-    of the last one's set.  With more candidates than n**3 >> 17 (the two
+    a pattern of two or more elements reaches no leaf.  The node that
+    places the third-to-last element (the root when k = 3) loops over its
+    images itself: each narrows the last two sets, and the second-to-last
+    adds, over its candidates x, the size of what x's rows leave of the
+    last one's set.  With more candidates than n**3 >> 17 (the two
     multiplies cost about n**3), that sum is one big-int step: each text
     element's rows are stacked at stride n + 1, and the candidates,
-    copied to their blocks, pick the blocks to meet.
+    copied to their blocks, pick the blocks to meet.  A two-element
+    pattern sums its pairs at the root.  The deadline is checked on
+    crossing each multiple of 4,096 steps: a node is one, and so is each
+    image the third-to-last tries and each candidate it leaves to the
+    second-to-last.
     """
     k, n = P.n, Q.n
     # one frame per pattern element, and 100 left for the callers
@@ -85,7 +92,9 @@ def _count_maps(P, Q, induced, injective, deadline=None, visit=None):
         raise errors.SizeLimitError("a %d-element pattern is too deep for the recursion limit of %d"
                                     % (k, sys.getrecursionlimit()))
     full = (1 << n) - 1
-    incomparable = [full & ~(Q.up[j] | Q.down[j]) | (1 << j) for j in range(n)] if induced else None
+    # rows[x] holds x itself only for incomparable or unconstrained pairs
+    # of a non-injective search
+    incomparable = [full & ~(Q.up[j] | Q.down[j] | injective << j) for j in range(n)] if induced else None
 
     def constraint(u, v):
         """The image of v must lie in constraint(u, v)[image of u], the text
@@ -97,19 +106,18 @@ def _count_maps(P, Q, induced, injective, deadline=None, visit=None):
         order = _search_order(P, induced and 3 * sum(map(int.bit_count, Q.up)) > n * n)
         last = k - 1
     else:
-        order, last = range(k), k + 1  # no closed-form tail: every leaf is visited
+        order, last = range(k), k + 2  # no closed-form tail: every leaf is visited
     # links[i]: (j, rows) for each later j-th element that the i-th one constrains
     links = [[(j, rows) for j in range(i + 1, k) if (rows := constraint(v, order[j])) is not None]
              for i, v in enumerate(order)]
     assignment = [0] * k
     cutoff = n ** 3 >> 17
     if visit is None and k >= 2:
-        # an injective count drops the pairs with equal images, which the
-        # last two elements' rows allow only when they are incomparable
-        twin = injective and not P.comparable(order[last - 1] + 1, order[last] + 1)
-        # ends[x]: what the second-to-last at x leaves to the last (x
-        # itself included: twin takes it out of injective counts)
-        ends = links[last - 1][0][1] if links[last - 1] else [full] * n
+        anywhere = [full & ~(injective << x) for x in range(n)]  # rows of unconstrained pairs
+        # ends[x]: what the second-to-last at x leaves to the last
+        ends = dict(links[last - 1]).get(last, anywhere)
+        if k >= 3:  # near[x], far[x]: what the third-to-last at x leaves to the last two
+            near, far = (dict(links[last - 2]).get(j, anywhere) for j in (last - 1, last))
         if cutoff < n:
             # stacked holds ends[x] in block x at stride n + 1; spread copies
             # an n-bit set to every block of n bits, diagonal keeps bit t of
@@ -121,23 +129,36 @@ def _count_maps(P, Q, induced, injective, deadline=None, visit=None):
     def extend(i, used, cands):
         nonlocal count, nodes
         nodes += 1
-        if deadline is not None and nodes % 4096 == 1 and time.monotonic() > deadline:
+        if deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline:
             raise errors.TimeoutError("occurrence count exceeded its deadline")
         if i == k:
             if visit is None or visit(assignment):
                 count += 1
             return
         cand = cands[i] & ~used if injective else cands[i]
-        if i == last - 1:
-            rest = cands[last] & ~used if injective else cands[last]
-            if twin:
-                count -= (cand & rest).bit_count()
-            if cand.bit_count() > cutoff:
-                count += (stacked & (cand * spread & diagonal) * rest).bit_count()
-                return
+        if i == last - 1:  # only a two-element count gets here, at the root
+            count += sum(map(int.bit_count, ends))
+            return
+        if i == last - 2:
+            # the third-to-last loops over its own images x; c and rest are
+            # what x leaves of the last two sets
+            before, after = (cands[last - 1] & ~used, cands[last] & ~used) if injective else cands[last - 1:]
             while cand:
-                count += (rest & ends[(cand & -cand).bit_length() - 1]).bit_count()
+                x = (cand & -cand).bit_length() - 1
                 cand &= cand - 1
+                c, rest = before & near[x], after & far[x]
+                size = c.bit_count()
+                nodes += size + 1
+                if deadline is not None and nodes % 4096 <= size and time.monotonic() > deadline:
+                    raise errors.TimeoutError("occurrence count exceeded its deadline")
+                if not rest:
+                    continue
+                if size > cutoff:
+                    count += (stacked & (c * spread & diagonal) * rest).bit_count()
+                    continue
+                while c:
+                    count += (rest & ends[(c & -c).bit_length() - 1]).bit_count()
+                    c &= c - 1
             return
         v, ahead = order[i], links[i]
         while cand:
@@ -153,7 +174,7 @@ def _count_maps(P, Q, induced, injective, deadline=None, visit=None):
                 extend(i + 1, used | bit, later)
             cand &= cand - 1
 
-    count = nodes = 0
+    count, nodes = 0, -1  # the first node, 0, checks the deadline
     extend(0, 0, [full] * k)
     return count
 
@@ -242,7 +263,9 @@ def count_occurrences(P, Q, flavor, deadline=None):
     maps f with f∘g = f, see _fold_cycles), divided by |Aut(P)|, with one
     search per distinct fold.  The deadline covers every search, the one
     that lists or counts Aut(P) included, and is checked as each search
-    starts and every 4,096 nodes.
+    starts and every 4,096 steps of it: a step is a search node, an image
+    of the third-to-last pattern element or a candidate it leaves to the
+    second-to-last.
     """
     # f∘g = f forces f(v) = f(g(v)), so only the identity fixes an injective
     # map: those counts need the order of Aut(P), not its members

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 
 import pytest
 
@@ -49,6 +51,26 @@ def test_is_module_examples(rng):
     assert not is_module(Q, {2, 3})
     with pytest.raises(RangeError):
         is_module(Q, {0})
+
+
+def test_is_module_matches_its_definition(rng):
+    # every element outside T lies above all of T, below all of T or apart
+    # from all of T; brute_modules calls is_module, so it is no oracle here.
+    # The least module holding a seed is the meet of the modules holding it
+    for n in range(8):
+        for P in (random_poset(rng, n), relabel(rng, random_poset(rng, n)), random_poset(rng, n, 0.3)):
+            assert is_module(P, ())
+            modules = []
+            for mask in range(1, 1 << n):
+                sub = [t for t in range(1, n + 1) if mask >> (t - 1) & 1]
+                uniform = all(len({(P.less(z, t), P.less(t, z)) for t in sub}) == 1
+                              for z in range(1, n + 1) if z not in sub)
+                assert is_module(P, sub) == uniform, (P, sub)
+                if uniform:
+                    modules.append(mask)
+            for seed in range(1, 1 << n):
+                least = functools.reduce(operator.and_, (m for m in modules if m & seed == seed))
+                assert decomp._min_module(P, seed, (1 << n) - 1) == least, (P, seed)
 
 
 def test_gallai_chain_and_antichain():

@@ -144,6 +144,18 @@ def test_unlabeled_count_honours_a_passed_deadline(monkeypatch):
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("k, n", [(3, 2000), (4, 400)])
+def test_count_deadline_bounds_work_that_grows_with_the_text(k, n):
+    # both searches have fewer than 4,096 nodes, but the third-to-last
+    # element tries about n images and, for each, sums over about n
+    # candidates of the second-to-last; the deadline counts those steps
+    start = time.monotonic()
+    with pytest.raises(TimeoutError):
+        count_occurrences(antichain(k), antichain(n), OccurrenceFlavor(False, True, False),
+                          deadline=start + 0.05)
+    assert time.monotonic() - start < 1
+
+
 @pytest.mark.parametrize("k, m", [(8, 2), (7, 3), (6, 4)])
 def test_unlabeled_antichain_in_antichain_is_multisets(k, m, rng):
     # orbits of all maps antichain(k) -> antichain(m) under the k! relabelings
@@ -225,6 +237,29 @@ def test_enumeration_and_automorphisms_come_in_lexicographic_order(rng):
         for R in (P, Q, relabel(rng, antichain(5))):
             auts = automorphism_maps(R)
             assert auts == sorted(set(auts))
+
+
+def test_in_place_level_matches_oracle(rng):
+    # counts loop over the third-to-last element's images in place, at the
+    # root when k = 3; in non-induced searches its rows narrow both, one or
+    # neither of the last two sets, and injective counts must keep the last
+    # two apart where nothing else does: when they are incomparable
+    seen, pairs = set(), []
+    for _ in range(48):
+        P = relabel(rng, random_poset(rng, rng.randint(3, 5)))
+        a, b, c = (v + 1 for v in _search_order(P, False)[-3:])
+        seen.add((P.n, P.comparable(a, b) + P.comparable(a, c), P.comparable(b, c)))
+        pairs.append((P, relabel(rng, random_poset(rng, rng.randint(3, 6)))))
+    assert {k for k, _, _ in seen} == {3, 4, 5}
+    assert {narrowed for _, narrowed, _ in seen} == {0, 1, 2}
+    assert {(3, 2, False), (4, 0, False), (5, 1, False)} <= seen
+    # n = 60: cutoff n**3 >> 17 is 1, and in a sparse text the second-to-last
+    # has both one candidate or none (popcount) and more (big-int step)
+    Q = random_poset(rng, 60, 0.04)
+    pairs += [(poset_from_relations(3, [(1, 2), (1, 3)]), Q), (poset_from_relations(3, [(1, 2)]), Q)]
+    for P, Q in pairs:
+        for flavor in ALL_FLAVORS:
+            assert count_occurrences(P, Q, flavor) == len(brute_occurrences(P, Q, flavor)), (P, Q, flavor)
 
 
 def test_large_text_counts_match_independent_oracles(rng):
