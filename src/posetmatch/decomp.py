@@ -6,12 +6,13 @@ when the complement is disconnected, and prime otherwise, in which case
 the maximal proper strong modules partition the ground set.  These
 classes come from one vertex partition refinement into the maximal
 modules avoiding the least element x (Ehrenfeucht, Gabow, McConnell and
-Sullivan 1994): each such module is a class or lies in x's class.
+Sullivan 1994): each such module is a class or lies in x's class.  One
+closure grows both the graph components and the minimal modules.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .core import Permutation, Poset, _collapse, poset_from_permutation, poset_from_relations, restrict
+from .core import Permutation, Poset, _collapse, poset_from_permutation, restrict
 from .errors import ConstraintError, NotAModuleError, RangeError
 
 __all__ = [
@@ -41,7 +42,7 @@ class GallaiTree:
     kind: str  # "leaf" | "series" | "parallel" | "prime"
     elements: tuple
     children: tuple = ()
-    quotient: Poset = field(default=None, compare=False)
+    quotient: Poset = None
 
     def nodes(self):
         """Every node of the subtree in pre-order, children left to right."""
@@ -69,26 +70,31 @@ def is_module(P, T):
     return _min_module(P, mask, (1 << P.n) - 1) == mask
 
 
+def _close(seed, scope, grow):
+    """The least superset of the seed bitmask inside scope that holds
+    grow(t) & scope for each of its members t.  Each member is taken once,
+    the least waiting one first, and the growth stops when none is left or
+    as soon as the set fills the scope."""
+    T = todo = seed
+    while todo:
+        t = (todo & -todo).bit_length() - 1
+        todo &= todo - 1
+        new = grow(t) & scope & ~T
+        if new:
+            T |= new
+            if T == scope:
+                break
+            todo |= new
+    return T
+
+
 def _components(scope, neighbors):
     """Connected components of a graph on the scope bitmask, given by a
     neighbor-mask function, in order of their least elements."""
-    remaining = scope
     comps = []
-    while remaining:
-        start = (remaining & -remaining)
-        comp = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            probe = frontier
-            while probe:
-                v = (probe & -probe).bit_length() - 1
-                probe &= probe - 1
-                nxt |= neighbors(v) & remaining & ~comp
-            comp |= nxt
-            frontier = nxt
-        comps.append(comp)
-        remaining &= ~comp
+    while scope:
+        comps.append(_close(scope & -scope, scope, neighbors))
+        scope &= ~comps[-1]
     return comps
 
 
@@ -101,23 +107,14 @@ def _mask_to_elems(mask):
 
 
 def _min_module(P, seed_mask, scope_mask):
-    """Smallest module of P (within scope) containing the seed elements.
-
-    An element outside a module relates to each member t as to the least
-    member s, so a module holding the seed holds every element of the
-    scope above or below exactly one of t and s.  Taking each member once
-    and absorbing those elements closes the seed into the smallest such
-    module; an empty seed stays empty.
-    """
-    T = todo = seed_mask
-    s = (T & -T).bit_length() - 1
-    while todo and T != scope_mask:
-        t = (todo & -todo).bit_length() - 1
-        todo &= todo - 1
-        new = ((P.up[t] ^ P.up[s]) | (P.down[t] ^ P.down[s])) & scope_mask & ~T
-        T |= new
-        todo |= new
-    return T
+    """Smallest module of P (within scope) containing the seed elements: an
+    element outside a module relates to each member t as to the least
+    member s, so the seed grows by the elements of the scope above or below
+    exactly one of t and s, until it is closed or fills the scope.  An
+    empty seed stays empty."""
+    s = (seed_mask & -seed_mask).bit_length() - 1
+    up, down = P.up, P.down
+    return _close(seed_mask, scope_mask, lambda t: (up[t] ^ up[s]) | (down[t] ^ down[s]))
 
 
 def _split(P, scope):
@@ -126,11 +123,11 @@ def _split(P, scope):
     their least elements for prime nodes."""
     if scope & (scope - 1) == 0:
         return "leaf", [], None
-    comps = _components(scope, lambda v: (P.up[v] | P.down[v]) & scope)
+    comps = _components(scope, lambda v: P.up[v] | P.down[v])
     if len(comps) > 1:
         return "parallel", comps, None
 
-    cocomps = _components(scope, lambda v: scope & ~(P.up[v] | P.down[v] | (1 << v)))
+    cocomps = _components(scope, lambda v: ~(P.up[v] | P.down[v]))
     if len(cocomps) > 1:
         # across co-components every pair is comparable, so the more
         # elements lie below a co-component's least element, the higher
@@ -266,11 +263,7 @@ def width(P):
 
 def intrinsic_width(P):
     """Maximum width over prime quotients of the Gallai tree; 1 if none."""
-    best = 1
-    for node in gallai_tree(P).nodes():
-        if node.kind == "prime":
-            best = max(best, width(node.quotient))
-    return best
+    return max((width(node.quotient) for node in gallai_tree(P).nodes() if node.kind == "prime"), default=1)
 
 
 def _permutation_encoding(Q):
@@ -296,10 +289,8 @@ def tree_to_sexpr(tree):
         if node.kind == "leaf":
             return str(node.elements[0])
         inner = " ".join(parts)
-        if node.kind == "series":
-            return "(S %s)" % inner
-        if node.kind == "parallel":
-            return "(P %s)" % inner
+        if node.kind != "prime":
+            return "(%s %s)" % ("S" if node.kind == "series" else "P", inner)
         perm = _permutation_encoding(node.quotient)
         if perm is not None:
             enc = " ".join(str(v) for v in perm.img)
@@ -311,19 +302,25 @@ def tree_to_sexpr(tree):
 
 
 def reconstruct(tree):
-    """Rebuild the poset (on the root's ground set) from its Gallai tree."""
-    pairs = []
-    for node in tree.nodes():
-        if node.kind == "series":
-            links = [(i, i + 1) for i in range(1, len(node.children))]
-        elif node.kind == "prime":
-            links = node.quotient.cover_pairs()
-        else:
-            continue
-        # children related by a cover of the quotient only; transitivity
-        # fills in the rest
-        for i, j in links:
-            for a in node.children[i - 1].elements:
-                for b in node.children[j - 1].elements:
-                    pairs.append((a, b))
-    return poset_from_relations(len(tree.elements), pairs)
+    """Rebuild restrict(P, tree.elements) from any node of gallai_tree(P),
+    on its elements in natural order.  Each child is handed the siblings
+    above and below it (later and earlier ones at a series node, its
+    quotient rows at a prime node), and a leaf's rows OR all it is handed."""
+    index = {e: i for i, e in enumerate(tree.elements)}
+    mask = {}  # each node's elements, as bits at their positions in tree.elements
+    fold_tree(tree, lambda node, kids: mask.setdefault(id(node), sum(kids) or 1 << index[node.elements[0]]))
+    up, down = [0] * len(index), [0] * len(index)
+    stack = [(tree, 0, 0)]
+    while stack:
+        node, above, below = stack.pop()
+        if node.kind == "leaf":
+            up[index[node.elements[0]]], down[index[node.elements[0]]] = above, below
+        kids, before = [mask[id(c)] for c in node.children], 0
+        for i, child in enumerate(node.children):
+            a, b = (mask[id(node)] ^ before ^ kids[i], before) if node.kind == "series" else (0, 0)
+            if node.kind == "prime":
+                a, b = (sum(m for j, m in enumerate(kids) if row >> j & 1)
+                        for row in (node.quotient.up[i], node.quotient.down[i]))
+            before |= kids[i]
+            stack.append((child, above | a, below | b))
+    return Poset(len(index), up, down)

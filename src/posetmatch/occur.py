@@ -235,10 +235,12 @@ def enumerate_occurrences(P, Q, flavor, budget=DEFAULT_ENUM_BUDGET):
     """All occurrence maps in lexicographic order of assignment vectors.
 
     With flavor.unlabeled, only the lexicographically least member of each
-    orbit under precomposition with Aut(P) is emitted.  The budget bounds
-    the output: SizeLimitError is raised as soon as more than budget maps
-    would be returned.
+    orbit under precomposition with Aut(P) is emitted.  The budget, which
+    must be >= 0, bounds the output: SizeLimitError is raised as soon as
+    more than budget maps would be returned.
     """
+    if budget < 0:
+        raise errors.RangeError("enumeration budget must be >= 0, got %r" % (budget,))
     keep = _is_orbit_minimum(P) if flavor.unlabeled else None
     out = []
 

@@ -15,6 +15,7 @@ from posetmatch import (
     poset_from_permutation,
     poset_from_relations,
     quotient,
+    restrict,
     width,
 )
 from posetmatch.decomp import reconstruct, tree_to_sexpr
@@ -124,6 +125,25 @@ def test_gallai_reconstruct(rng):
     for _ in range(40):
         P = random_poset(rng, rng.randint(1, 8))
         assert reconstruct(gallai_tree(P)) == P
+
+
+def test_every_gallai_node_reconstructs_its_subposet(rng):
+    for i in range(300):
+        P = random_poset(rng, rng.randint(1, 14))
+        P = relabel(rng, P) if i % 2 else P
+        for node in gallai_tree(P).nodes():
+            assert reconstruct(node) == restrict(P, node.elements), (P, node.elements)
+
+
+def test_gallai_trees_are_equal_iff_posets_are(rng):
+    # the two primes on four elements differ only in their quotients
+    prime_2413 = gallai_tree(poset_from_permutation(Permutation([2, 4, 1, 3])))
+    prime_3142 = gallai_tree(poset_from_permutation(Permutation([3, 1, 4, 2])))
+    assert prime_2413 != prime_3142
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        P, Q = random_poset(rng, n), random_poset(rng, n)
+        assert (gallai_tree(P) == gallai_tree(Q)) == (P == Q), (P, Q)
 
 
 def test_prime_quotients_have_no_nontrivial_module(rng):

@@ -19,7 +19,7 @@ from posetmatch import (
     poset_from_permutation,
     poset_from_relations,
 )
-from posetmatch.errors import SizeError, SizeLimitError, TimeoutError
+from posetmatch.errors import RangeError, SizeError, SizeLimitError, TimeoutError
 from posetmatch import occur
 from posetmatch.occur import _search_order, automorphism_maps
 
@@ -50,6 +50,13 @@ def test_enumerate_unlabeled_orbit_representative():
 def test_enumerate_budget():
     with pytest.raises(SizeLimitError):
         enumerate_occurrences(chain(4), chain(10), OccurrenceFlavor(), budget=100)
+
+
+def test_enumerate_budget_is_not_negative():
+    with pytest.raises(RangeError, match="-1"):
+        enumerate_occurrences(chain(1), chain(3), OccurrenceFlavor(), budget=-1)
+    with pytest.raises(SizeLimitError):
+        enumerate_occurrences(chain(1), chain(3), OccurrenceFlavor(), budget=0)
 
 
 def test_count_examples():
