@@ -66,12 +66,7 @@ class Poset:
 
     def cover_pairs(self):
         """Pairs (a, b) where b covers a (no element strictly between)."""
-        covers = []
-        for a, b in self.relations():
-            between = self.up[a - 1] & self.down[b - 1]
-            if between == 0:
-                covers.append((a, b))
-        return covers
+        return [(i + 1, j + 1) for i, row in enumerate(self.up) for j in _bits(row) if not row & self.down[j]]
 
     def __eq__(self, other):
         return isinstance(other, Poset) and self.n == other.n and self.up == other.up
@@ -134,6 +129,13 @@ class OccurrenceMap:
 
     def __len__(self):
         return len(self.assignment)
+
+
+def _bits(mask):
+    """The positions of mask's set bits, lowest first, one step per bit."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
 
 
 def poset_from_relations(n, pairs):

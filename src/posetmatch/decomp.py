@@ -12,7 +12,7 @@ closure grows both the graph components and the minimal modules.
 
 from dataclasses import dataclass
 
-from .core import Permutation, Poset, _collapse, poset_from_permutation, restrict
+from .core import Permutation, Poset, _bits, _collapse, poset_from_permutation, restrict
 from .errors import ConstraintError, NotAModuleError, RangeError
 
 __all__ = [
@@ -29,14 +29,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class GallaiTree:
     """One node of the strong-module tree.
 
     elements holds the global (1-based) ground-set subset this node
     induces; children are in quotient order for series nodes and sorted by
     smallest element otherwise.  quotient is the poset on the children (in
-    child order) and is populated for prime nodes.
+    child order) and is populated for prime nodes.  Comparing, hashing and
+    printing walk the tree without recursion, so deep trees are safe.
     """
 
     kind: str  # "leaf" | "series" | "parallel" | "prime"
@@ -51,6 +52,17 @@ class GallaiTree:
             node = stack.pop()
             yield node
             stack.extend(reversed(node.children))
+
+    def __eq__(self, other):
+        # the pre-order nodes with their child counts fix the tree's shape
+        key = lambda tree: [(n.kind, n.elements, len(n.children), n.quotient) for n in tree.nodes()]
+        return isinstance(other, GallaiTree) and key(self) == key(other)
+
+    def __hash__(self):
+        return hash((self.kind, self.elements))
+
+    def __repr__(self):
+        return "GallaiTree(%r)" % tree_to_sexpr(self)
 
 
 @dataclass(frozen=True)
@@ -96,14 +108,6 @@ def _components(scope, neighbors):
         comps.append(_close(scope & -scope, scope, neighbors))
         scope &= ~comps[-1]
     return comps
-
-
-def _mask_to_elems(mask):
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length())
-        mask &= mask - 1
-    return out
 
 
 def _min_module(P, seed_mask, scope_mask):
@@ -168,11 +172,11 @@ def _split(P, scope):
 
 
 def gallai_tree(P):
-    """The full strong-module tree of P."""
+    """The full strong-module tree of P, split top-down and breadth first
+    so that each node's children follow it together in the work list, then
+    assembled from the end, each node's elements merged from its children's."""
     if P.n < 1:
         raise RangeError("empty poset has no decomposition")
-    # split top-down, breadth first, so that each node's children sit
-    # together after it in the work list; then assemble from the end
     masks = [(1 << P.n) - 1]
     splits = []  # splits[i]: (kind, index of first child, child count, quotient)
     for mask in masks:  # grows while it is walked
@@ -183,7 +187,8 @@ def gallai_tree(P):
     for i in reversed(range(len(masks))):
         kind, first, count, quot = splits[i]
         children = tuple(nodes[first:first + count])
-        nodes[i] = GallaiTree(kind, tuple(_mask_to_elems(masks[i])), children, quot)
+        elements = sorted([x for c in children for x in c.elements]) if count else [masks[i].bit_length()]
+        nodes[i] = GallaiTree(kind, tuple(elements), children, quot)
     return nodes[0]
 
 
@@ -304,8 +309,8 @@ def tree_to_sexpr(tree):
 def reconstruct(tree):
     """Rebuild restrict(P, tree.elements) from any node of gallai_tree(P),
     on its elements in natural order.  Each child is handed the siblings
-    above and below it (later and earlier ones at a series node, its
-    quotient rows at a prime node), and a leaf's rows OR all it is handed."""
+    above and below it (later and earlier ones at a series node, at a prime
+    node the ones its quotient rows' set bits name), and a leaf ORs them."""
     index = {e: i for i, e in enumerate(tree.elements)}
     mask = {}  # each node's elements, as bits at their positions in tree.elements
     fold_tree(tree, lambda node, kids: mask.setdefault(id(node), sum(kids) or 1 << index[node.elements[0]]))
@@ -319,8 +324,7 @@ def reconstruct(tree):
         for i, child in enumerate(node.children):
             a, b = (mask[id(node)] ^ before ^ kids[i], before) if node.kind == "series" else (0, 0)
             if node.kind == "prime":
-                a, b = (sum(m for j, m in enumerate(kids) if row >> j & 1)
-                        for row in (node.quotient.up[i], node.quotient.down[i]))
+                a, b = (sum(map(kids.__getitem__, _bits(r[i]))) for r in (node.quotient.up, node.quotient.down))
             before |= kids[i]
             stack.append((child, above | a, below | b))
     return Poset(len(index), up, down)

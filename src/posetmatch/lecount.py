@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import accumulate, permutations
 from math import comb, factorial, prod
 
-from .core import Poset, poset_from_permutation, poset_from_relations
+from .core import Poset, _bits, poset_from_permutation, poset_from_relations
 from .decomp import _permutation_encoding, dilworth, fold_tree, gallai_tree
 from .errors import MemoryBudgetError, RangeError, SizeError, SizeLimitError
 from .occur import automorphism_maps
@@ -140,7 +140,8 @@ def count_le_downset_dp(P, node_budget=DEFAULT_NODE_BUDGET):
 def inflate(quotient, sizes):
     """Replace element i of the quotient by a chain of sizes[i].
 
-    Relations lift uniformly, so the result has the quotient's width.
+    Relations lift uniformly, a quotient row to the blocks its set bits
+    name, so the result has the quotient's width.
     """
     if len(sizes) != quotient.n:
         raise RangeError("%d chain sizes for a %d-element quotient" % (len(sizes), quotient.n))
@@ -148,10 +149,9 @@ def inflate(quotient, sizes):
         raise RangeError("chain size %d is below 1" % min(sizes))
     offsets = list(accumulate(sizes, initial=0))
     blocks = [((1 << s) - 1) << o for o, s in zip(offsets, sizes)]
-    lift = lambda row: sum(b for j, b in enumerate(blocks) if row >> j & 1)
     up, down = [], []
     for i, block in enumerate(blocks):
-        above, below = lift(quotient.up[i]), lift(quotient.down[i])
+        above, below = (sum(map(blocks.__getitem__, _bits(r[i]))) for r in (quotient.up, quotient.down))
         for x in range(offsets[i], offsets[i] + sizes[i]):
             up.append(above | block >> (x + 1) << (x + 1))
             down.append(below | block & ((1 << x) - 1))

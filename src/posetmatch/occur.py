@@ -40,6 +40,11 @@ __all__ = [
 ]
 
 
+def _check(deadline, stage):
+    if deadline is not None and time.monotonic() > deadline:
+        raise errors.TimeoutError("%s exceeded its deadline" % stage)
+
+
 def _search_order(P, dense):
     """P's elements, most constrained first (fail-first).
 
@@ -129,8 +134,8 @@ def _count_maps(P, Q, induced, injective, deadline=None, visit=None):
     def extend(i, used, cands):
         nonlocal count, nodes
         nodes += 1
-        if deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline:
-            raise errors.TimeoutError("occurrence count exceeded its deadline")
+        if deadline is not None and nodes % 4096 == 0:
+            _check(deadline, "occurrence count")
         if i == k:
             if visit is None or visit(assignment):
                 count += 1
@@ -149,8 +154,8 @@ def _count_maps(P, Q, induced, injective, deadline=None, visit=None):
                 c, rest = before & near[x], after & far[x]
                 size = c.bit_count()
                 nodes += size + 1
-                if deadline is not None and nodes % 4096 <= size and time.monotonic() > deadline:
-                    raise errors.TimeoutError("occurrence count exceeded its deadline")
+                if deadline is not None and nodes % 4096 <= size:
+                    _check(deadline, "occurrence count")
                 if not rest:
                     continue
                 if size > cutoff:
@@ -237,10 +242,13 @@ def enumerate_occurrences(P, Q, flavor, budget=DEFAULT_ENUM_BUDGET):
     With flavor.unlabeled, only the lexicographically least member of each
     orbit under precomposition with Aut(P) is emitted.  The budget, which
     must be >= 0, bounds the output: SizeLimitError is raised as soon as
-    more than budget maps would be returned.
+    more than budget maps would be returned.  An injective flavor with
+    more pattern than text elements has no occurrence and searches nothing.
     """
     if budget < 0:
         raise errors.RangeError("enumeration budget must be >= 0, got %r" % (budget,))
+    if flavor.injective and P.n > Q.n:
+        return []
     keep = _is_orbit_minimum(P) if flavor.unlabeled else None
     out = []
 
@@ -267,8 +275,11 @@ def count_occurrences(P, Q, flavor, deadline=None):
     that lists or counts Aut(P) included, and is checked as each search
     starts and every 4,096 steps of it: a step is a search node, an image
     of the third-to-last pattern element or a candidate it leaves to the
-    second-to-last.
+    second-to-last.  An injective flavor with more pattern than text
+    elements gives 0 by pigeonhole, before any search.
     """
+    if flavor.injective and P.n > Q.n:
+        return 0
     # f∘g = f forces f(v) = f(g(v)), so only the identity fixes an injective
     # map: those counts need the order of Aut(P), not its members
     fold_all = flavor.unlabeled and not flavor.injective

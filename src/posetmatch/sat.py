@@ -21,9 +21,8 @@ from .errors import (
     FormatError,
     PolarityError,
     SizeLimitError,
-    TimeoutError,
 )
-from .occur import count_occurrences
+from .occur import _check, count_occurrences
 
 __all__ = [
     "Cnf3",
@@ -265,11 +264,6 @@ def _block_local(f, assignment):
     spans = [(8 * i, 8) for i in range(f.n) for _ in range(4)]
     spans += [(8 * f.n + 35 * i, 35) for i in range(f.m) for _ in range(5)]
     return all(lo < q <= lo + size for (lo, size), q in zip(spans, assignment))
-
-
-def _check(deadline, stage):
-    if deadline is not None and time.monotonic() > deadline:
-        raise TimeoutError("%s exceeded its deadline" % stage)
 
 
 def verify_reduction(f, method="structured", timeout=60.0):

@@ -314,6 +314,22 @@ def test_bad_poset_file(tmp_path):
     assert code == 2 and "error:" in err
 
 
+def test_rejected_input_lines(tmp_path):
+    # each rejection ends in exit 2 with one stderr line and nothing on stdout
+    cases = [("le", "p\n", "line 1: expected 'p <n>'"),
+             ("le", "p -1\n", "line 1: negative count"),
+             ("le", "p 2\nr 1 x\n", "line 2: bad relation"),
+             ("le", "p 2\nr 2 2\n", "reflexive pair (2, 2)"),
+             ("sat-verify", "p cnf 1 1\np cnf 1 1\n1 1 1 0\n", "line 2: duplicate header"),
+             ("sat-verify", "p cnf x 1\n", "line 1: bad header counts"),
+             ("sat-verify", "p cnf 1 1\n1 y 1 0\n", "line 2: non-integer literal"),
+             ("sat-verify", "p cnf 1 1\n1 0 1 0\n", "line 2: zero literal inside clause"),
+             ("sat-verify", "c only a comment\n", "missing 'p cnf' header")]
+    for verb, text, message in cases:
+        path = write(tmp_path, "in.txt", text)
+        assert invoke([verb, path]) == (2, "", "error: %s\n" % message), text
+
+
 def test_non_utf8_input_is_a_format_error(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"p 2\nr 1 \xff2\n")

@@ -223,6 +223,8 @@ def test_quotient_examples():
         quotient(chain(3), [{1, 2}])
     with pytest.raises(NotAModuleError, match="block 1 is empty"):
         quotient(chain(3), [set(), {1, 2, 3}])
+    with pytest.raises(NotAModuleError, match="element 2 appears in two blocks"):
+        quotient(chain(3), [{1, 2}, {2, 3}])
 
 
 def test_dilworth_examples():

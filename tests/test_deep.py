@@ -48,6 +48,14 @@ def test_staircase_tree_walks(low_recursion_limit):
     assert intrinsic_width(P) == 1
 
 
+def test_deep_trees_compare_hash_and_print(low_recursion_limit):
+    P = poset_from_permutation(staircase(STEPS))
+    tree, again = gallai_tree(P), gallai_tree(P)
+    assert tree is not again and tree == again and hash(tree) == hash(again)
+    assert tree != gallai_tree(poset_from_permutation(staircase(STEPS - 1)))
+    assert repr(tree).startswith("GallaiTree('(P ")
+
+
 def test_pattern_deeper_than_stack(low_recursion_limit):
     with pytest.raises(SizeLimitError, match="300-element pattern .* recursion limit of %d"
                        % low_recursion_limit):

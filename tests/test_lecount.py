@@ -146,6 +146,8 @@ def test_le_disjoint_chains_closed_form():
 def test_le_brute_budget():
     with pytest.raises(SizeLimitError):
         count_le_bruteforce(antichain(10))
+    with pytest.raises(SizeLimitError, match="exceeds oracle budget 9"):
+        count_automorphisms_bruteforce(antichain(10))
 
 
 def test_le_memory_budget():

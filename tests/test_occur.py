@@ -163,6 +163,19 @@ def test_count_deadline_bounds_work_that_grows_with_the_text(k, n):
     assert time.monotonic() - start < 1
 
 
+def test_injective_pattern_larger_than_text_searches_nothing():
+    # no injective map fits 11 elements into 10, so no search is needed; one
+    # would run for seconds, past the deadline (the unlabeled flavors count
+    # or list Aut(P) before it)
+    for flavor in ALL_FLAVORS:
+        if flavor.injective:
+            deadline = time.monotonic() + 0.5
+            assert count_occurrences(antichain(11), antichain(10), flavor, deadline=deadline) == 0
+            start = time.monotonic()
+            assert enumerate_occurrences(antichain(9), antichain(8), flavor) == []
+            assert time.monotonic() - start < 0.5
+
+
 @pytest.mark.parametrize("k, m", [(8, 2), (7, 3), (6, 4)])
 def test_unlabeled_antichain_in_antichain_is_multisets(k, m, rng):
     # orbits of all maps antichain(k) -> antichain(m) under the k! relabelings
@@ -367,6 +380,8 @@ def test_match_agrees_with_occurrences(rng):
 
 def test_chain_occurrences_examples(rng):
     assert count_chain_occurrences(1, antichain(5)) == 5
+    with pytest.raises(RangeError, match="chain length must be >= 1"):
+        count_chain_occurrences(0, chain(3))
     Q = random_poset(rng, 7)
     assert count_chain_occurrences(2, Q) == len(Q.relations())
 
