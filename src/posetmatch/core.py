@@ -55,14 +55,7 @@ class Poset:
 
     def relations(self):
         """All strict pairs (a, b) with a < b in the order, 1-based."""
-        out = []
-        for i in range(self.n):
-            row = self.up[i]
-            while row:
-                j = (row & -row).bit_length() - 1
-                out.append((i + 1, j + 1))
-                row &= row - 1
-        return out
+        return [(i + 1, j + 1) for i, row in enumerate(self.up) for j in _bits(row)]
 
     def cover_pairs(self):
         """Pairs (a, b) where b covers a (no element strictly between)."""
@@ -188,6 +181,22 @@ def poset_from_permutation(sigma):
     return Poset(n, up, down)
 
 
+def _permutation_encoding(Q):
+    """A permutation rho with D(rho) equal to Q, or None.
+
+    In D(rho), rho(i) - 1 counts the j < i below i and the j > i
+    incomparable to i; Q is encodable iff those counts give a
+    permutation that encodes Q.
+    """
+    k = Q.n
+    rho = [1 + (Q.down[i] & ((1 << i) - 1)).bit_count()
+           + k - 1 - i - ((Q.up[i] | Q.down[i]) >> (i + 1)).bit_count() for i in range(k)]
+    if sorted(rho) != list(range(1, k + 1)):
+        return None
+    perm = Permutation(rho)
+    return perm if poset_from_permutation(perm) == Q else None
+
+
 def restrict(P, subset):
     """Induced subposet on `subset`, relabeled 1..|subset| in natural order."""
     elems = sorted(set(subset))
@@ -260,14 +269,19 @@ def antichain(n):
 # cover relation only; readers accept any generating set.
 
 
+def _lines(text, comment):
+    """(line number, fields) of each line of text that is neither blank
+    nor, once stripped, starts with the comment prefix."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if line and not line.startswith(comment):
+            yield lineno, line.split()
+
+
 def parse_poset(text):
     n = None
     pairs = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, parts in _lines(text, "#"):
         if parts[0] == "p":
             if n is not None:
                 raise FormatError("line %d: duplicate p line" % lineno)

@@ -12,7 +12,7 @@ closure grows both the graph components and the minimal modules.
 
 from dataclasses import dataclass
 
-from .core import Permutation, Poset, _bits, _collapse, poset_from_permutation, restrict
+from .core import Poset, _bits, _collapse, _permutation_encoding, restrict
 from .errors import ConstraintError, NotAModuleError, RangeError
 
 __all__ = [
@@ -269,22 +269,6 @@ def width(P):
 def intrinsic_width(P):
     """Maximum width over prime quotients of the Gallai tree; 1 if none."""
     return max((width(node.quotient) for node in gallai_tree(P).nodes() if node.kind == "prime"), default=1)
-
-
-def _permutation_encoding(Q):
-    """A permutation rho with D(rho) equal to Q, or None.
-
-    In D(rho), rho(i) - 1 counts the j < i below i and the j > i
-    incomparable to i; Q is encodable iff those counts give a
-    permutation that encodes Q.
-    """
-    k = Q.n
-    rho = [1 + (Q.down[i] & ((1 << i) - 1)).bit_count()
-           + k - 1 - i - ((Q.up[i] | Q.down[i]) >> (i + 1)).bit_count() for i in range(k)]
-    if sorted(rho) != list(range(1, k + 1)):
-        return None
-    perm = Permutation(rho)
-    return perm if poset_from_permutation(perm) == Q else None
 
 
 def tree_to_sexpr(tree):

@@ -1,4 +1,6 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and its deadline check."""
+
+import time
 
 
 class PosetmatchError(Exception):
@@ -47,3 +49,9 @@ class ConstraintError(PosetmatchError):
 
 class TimeoutError(PosetmatchError):
     """A wall-clock cap was exceeded."""
+
+
+def _check(deadline, stage):
+    """Raise TimeoutError once the time.monotonic() deadline, if any, has passed."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeoutError("%s exceeded its deadline" % stage)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from itertools import accumulate, permutations
 from math import comb, factorial, prod
 
-from .core import Poset, _bits, poset_from_permutation, poset_from_relations
-from .decomp import _permutation_encoding, dilworth, fold_tree, gallai_tree
+from .core import Poset, _bits, _permutation_encoding, poset_from_permutation, poset_from_relations
+from .decomp import dilworth, fold_tree, gallai_tree
 from .errors import MemoryBudgetError, RangeError, SizeError, SizeLimitError
 from .occur import automorphism_maps
 
@@ -123,7 +123,10 @@ def count_le_downset_dp(P, node_budget=DEFAULT_NODE_BUDGET):
     hold an antichain with 2^k down-sets, so 2^k past it is refused at once;
     otherwise MemoryBudgetError is raised after the first level that takes
     the count past it (a projected count prod(|C_j| + 1) that fits passes).
+    A negative node_budget raises RangeError.
     """
+    if node_budget < 0:
+        raise RangeError("node budget must be >= 0, got %r" % (node_budget,))
     chains = dilworth(P).chains
     over = "down-sets over %d chains exceed node budget %d" % (len(chains), node_budget)
     if 1 << len(chains) > node_budget:
@@ -170,8 +173,11 @@ def count_linear_extensions(P, node_budget=DEFAULT_NODE_BUDGET):
     shuffle factor: 1 for series nodes, the multinomial of child sizes for
     parallel nodes, and for prime nodes the extension count of the
     quotient with each element inflated to a chain of the child's size.
-    The empty poset has one (empty) extension.
+    The empty poset has one (empty) extension.  node_budget, which must be
+    >= 0, bounds each prime quotient's sweep as in count_le_downset_dp.
     """
+    if node_budget < 0:
+        raise RangeError("node budget must be >= 0, got %r" % (node_budget,))
     if P.n == 0:
         return 1
 

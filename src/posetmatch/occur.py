@@ -23,11 +23,11 @@ orbit-minimum leaf filter serves enumeration only.
 """
 
 import sys
-import time
 from collections import Counter
 
 from . import errors
-from .core import OccurrenceFlavor, OccurrenceMap, _collapse, poset_from_permutation
+from .core import OccurrenceFlavor, OccurrenceMap, _bits, _collapse, poset_from_permutation
+from .errors import _check
 
 DEFAULT_ENUM_BUDGET = 1_000_000
 
@@ -38,11 +38,6 @@ __all__ = [
     "count_chain_occurrences",
     "automorphism_maps",
 ]
-
-
-def _check(deadline, stage):
-    if deadline is not None and time.monotonic() > deadline:
-        raise errors.TimeoutError("%s exceeded its deadline" % stage)
 
 
 def _search_order(P, dense):
@@ -322,17 +317,7 @@ def count_chain_occurrences(k, Q):
     """
     if k < 1:
         raise errors.RangeError("chain length must be >= 1")
-    n = Q.n
-    prev = [1] * n
+    prev = [1] * Q.n
     for _ in range(k - 1):
-        cur = [0] * n
-        for i in range(n):
-            row = Q.down[i]
-            total = 0
-            while row:
-                j = (row & -row).bit_length() - 1
-                total += prev[j]
-                row &= row - 1
-            cur[i] = total
-        prev = cur
+        prev = [sum(map(prev.__getitem__, _bits(row))) for row in Q.down]
     return sum(prev)

@@ -14,15 +14,16 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import OccurrenceFlavor, Permutation, poset_from_permutation
+from .core import OccurrenceFlavor, Permutation, _lines, poset_from_permutation
 from .errors import (
     ArityError,
     ConstraintError,
     FormatError,
     PolarityError,
     SizeLimitError,
+    _check,
 )
-from .occur import _check, count_occurrences
+from .occur import count_occurrences
 
 __all__ = [
     "Cnf3",
@@ -89,11 +90,7 @@ def parse_dimacs(text):
     """DIMACS CNF subset: 'p cnf n m' then m lines of 3 literals ending in 0."""
     n = m = None
     clauses = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for lineno, parts in _lines(text, "c"):
         if parts[0] == "p":
             if n is not None:
                 raise FormatError("line %d: duplicate header" % lineno)

@@ -7,7 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from posetmatch import chain, decomp, errors, gallai_tree, poset_from_permutation
+from posetmatch import chain, cli, decomp, errors, gallai_tree, poset_from_permutation
 from posetmatch.core import format_permutation, format_poset
 from posetmatch.cli import run
 from posetmatch.decomp import tree_to_sexpr
@@ -49,6 +49,12 @@ def test_le_check(tmp_path):
     path = write(tmp_path, "n.poset", N_POSET)
     code, out, _ = invoke(["le", path, "--check"])
     assert code == 0 and out == "5\n"
+
+
+def test_le_check_mismatch_is_one_line(tmp_path, monkeypatch):
+    path = write(tmp_path, "n.poset", N_POSET)
+    monkeypatch.setitem(cli.LE_METHODS, "auto", lambda P: 6)
+    assert invoke(["le", path, "--check"]) == (2, "", "error: le mismatch: 6 vs oracle 5\n")
 
 
 def test_le_empty_poset_every_method(tmp_path):
@@ -149,6 +155,11 @@ def test_decomp(tmp_path):
     path = write(tmp_path, "c.poset", "p 3\nr 1 2\nr 2 3\nr 1 3\n")
     code, out, _ = invoke(["decomp", path])
     assert code == 0 and out == "(S 1 2 3)\n"
+
+
+def test_decomp_empty_poset(tmp_path):
+    path = write(tmp_path, "empty.poset", "p 0\n")
+    assert invoke(["decomp", path]) == (2, "", "error: empty poset has no decomposition\n")
 
 
 def test_staircase_verbs(low_recursion_limit, tmp_path):

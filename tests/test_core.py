@@ -245,6 +245,11 @@ def test_poset_parser_accepts_comments_and_errors():
             parse_poset(bad)
 
 
+def test_poset_parser_counts_blank_and_comment_lines():
+    with pytest.raises(FormatError, match=r"^line 5: unknown directive 'q'$"):
+        parse_poset("# header\n\np 3\n  # indented\nq 1 2\n")
+
+
 def test_permutation_roundtrip_and_errors():
     sigma = Permutation([3, 1, 2])
     assert parse_permutation(format_permutation(sigma)) == sigma

@@ -20,6 +20,7 @@ from posetmatch import (
     count_linear_extensions,
     dilworth,
     downset_lattice,
+    gallai_tree,
     inflate,
     lattice_as_poset,
     poset_from_permutation,
@@ -205,6 +206,16 @@ def test_le_downset_budget_between_real_and_projected():
         count_le_downset_dp(P, node_budget=real - 1)
     with pytest.raises(MemoryBudgetError, match=r"^2\^5 down-sets over 5 chains exceed node budget 31$"):
         count_le_downset_dp(P, node_budget=31)
+
+
+def test_le_negative_budget_is_refused():
+    # 1 < 2 beside 3 has no prime node, the N poset is prime
+    N = poset_from_relations(4, [(1, 3), (2, 3), (2, 4)])
+    assert gallai_tree(N).kind == "prime"
+    for P in (poset_from_relations(3, [(1, 2)]), N):
+        for engine in (count_le_downset_dp, count_linear_extensions):
+            with pytest.raises(RangeError, match=r"^node budget must be >= 0, got -1$"):
+                engine(P, node_budget=-1)
 
 
 def test_le_recurse_handles_wide_antichain():

@@ -20,6 +20,7 @@ from posetmatch import (
     poset_from_relations,
 )
 from posetmatch.errors import RangeError, SizeError, SizeLimitError, TimeoutError
+from posetmatch.lecount import count_le_bruteforce
 from posetmatch import occur
 from posetmatch.occur import _search_order, automorphism_maps
 
@@ -419,3 +420,15 @@ def test_occurrences_in_chain_against_engine(rng):
         q = rng.randint(P.n, 8)
         flavor = OccurrenceFlavor(induced=False, injective=True)
         assert count_occurrences_in_chain(P, q) == count_occurrences(P, chain(q), flavor)
+
+
+def test_chain_texts_recover_extension_counts_by_binomial_inversion():
+    # labeled non-induced non-injective counts in chain(q) are the strict
+    # order polynomial sum_j s_j * C(q, j), whose top coefficient s_k is
+    # e(P), so the k-th difference of the counts at q = 0..k is e(P)
+    rng = random.Random(909)
+    for _ in range(200):
+        P = relabel(rng, random_poset(rng, rng.randint(0, 6)))
+        k = P.n
+        counts = [count_occurrences(P, chain(q), OccurrenceFlavor()) for q in range(k + 1)]
+        assert sum((-1) ** (k - q) * comb(k, q) * c for q, c in enumerate(counts)) == count_le_bruteforce(P), P

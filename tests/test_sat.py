@@ -113,6 +113,11 @@ def test_parse_format_errors():
         parse_dimacs("p dnf 1 1\n1 1 1 0\n")
 
 
+def test_parse_counts_blank_and_comment_lines():
+    with pytest.raises(FormatError, match=r"^line 5: non-integer literal$"):
+        parse_dimacs("c header\n\np cnf 1 1\n  c indented\n1 x 1 0\n")
+
+
 def test_cnf3_validates_directly():
     with pytest.raises(PolarityError):
         Cnf3(1, (((1, True), (1, False), (1, True)),))
@@ -282,7 +287,7 @@ def test_block_search_on_perturbed_texts():
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 4: build_gadget puts every t/f value inside (2a, 2a+1), which lies in "
+    "ROADMAP item 8: build_gadget puts every t/f value inside (2a, 2a+1), which lies in "
     "both T_a and F_a, so no row choice is tied to a bracket choice; the unsatisfiable "
     "p cnf 1 2 / 1 1 1 0 / -1 -1 -1 0 gets 98 matches and p cnf 3 2 / 1 2 3 0 / 3 2 1 0 "
     "gets 0 against sat = 7"))
