@@ -15,10 +15,11 @@ from dataclasses import dataclass
 from itertools import accumulate, permutations
 from math import comb, factorial, prod
 
-from .core import Poset, _bits, _permutation_encoding, poset_from_permutation, poset_from_relations
+from .core import (OccurrenceFlavor, Poset, _bits, _permutation_encoding, poset_from_permutation,
+                   poset_from_relations)
 from .decomp import dilworth, fold_tree, gallai_tree
 from .errors import MemoryBudgetError, RangeError, SizeError, SizeLimitError
-from .occur import automorphism_maps
+from .occur import count_occurrences
 
 DEFAULT_NODE_BUDGET = 2_000_000
 DEFAULT_ORACLE_BUDGET = 9
@@ -250,26 +251,24 @@ def count_automorphisms_dim2(sigma):
     return _code_and_auts(sigma)[1]
 
 
-def count_automorphisms_bruteforce(P, budget=DEFAULT_ORACLE_BUDGET):
-    """|Aut(P)| by the pruned search of automorphism_maps; oracle use only."""
-    if P.n > budget:
-        raise SizeLimitError("|P| = %d exceeds oracle budget %d" % (P.n, budget))
-    return len(automorphism_maps(P))
+def count_automorphisms_bruteforce(P):
+    """|Aut(P)|: P's induced injective self-occurrences, by count_occurrences; oracle use only."""
+    if P.n > DEFAULT_ORACLE_BUDGET:
+        raise SizeLimitError("|P| = %d exceeds oracle budget %d" % (P.n, DEFAULT_ORACLE_BUDGET))
+    return count_occurrences(P, P, OccurrenceFlavor(induced=True, injective=True))
 
 
-def count_le_bruteforce(P, budget=DEFAULT_ORACLE_BUDGET):
+def count_le_bruteforce(P):
     """Exhaustive e(P) over all total orders; oracle use only."""
-    if P.n > budget:
-        raise SizeLimitError("|P| = %d exceeds oracle budget %d" % (P.n, budget))
+    if P.n > DEFAULT_ORACLE_BUDGET:
+        raise SizeLimitError("|P| = %d exceeds oracle budget %d" % (P.n, DEFAULT_ORACLE_BUDGET))
     count = 0
     for order in permutations(range(P.n)):
         seen = 0
-        ok = True
         for x in order:
             if P.up[x] & seen:
-                ok = False
                 break
             seen |= 1 << x
-        if ok:
+        else:
             count += 1
     return count

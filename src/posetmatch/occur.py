@@ -312,11 +312,13 @@ def match_permutation(sigma_P, sigma_Q, induced):
 def count_chain_occurrences(k, Q):
     """Number of k-element chains of Q, by dynamic programming.
 
-    c_j(v) = sum of c_{j-1}(u) over u < v; each round reads only the
-    last, so no element order is needed.  Polynomial in |Q| and k.
+    c_j(v) = sum of c_{j-1}(u) over u < v; each round reads only the last, so
+    no element order is needed.  Polynomial in |Q| and k; 0, with no round, if k > |Q|.
     """
     if k < 1:
         raise errors.RangeError("chain length must be >= 1")
+    if k > Q.n:
+        return 0
     prev = [1] * Q.n
     for _ in range(k - 1):
         prev = [sum(map(prev.__getitem__, _bits(row))) for row in Q.down]

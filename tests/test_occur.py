@@ -20,7 +20,7 @@ from posetmatch import (
     poset_from_relations,
 )
 from posetmatch.errors import RangeError, SizeError, SizeLimitError, TimeoutError
-from posetmatch.lecount import count_le_bruteforce
+from posetmatch.lecount import count_automorphisms_bruteforce, count_le_bruteforce
 from posetmatch import occur
 from posetmatch.occur import _search_order, automorphism_maps
 
@@ -110,6 +110,30 @@ def test_search_order_places_the_most_constrained_first():
     # however many constraints there are
     R = poset_from_relations(200, [(b, 31) for b in range(1, 31)] + [(c, c + 1) for c in range(31, 200)])
     assert _search_order(R, False)[0] == 30
+
+
+def test_induced_counts_in_dense_texts_search_by_incomparable_pairs(monkeypatch):
+    # the dense order is chosen iff the count is induced and more than a
+    # third of the text's ordered pairs are related: 3 * |relations| > n * n
+    seen, order = [], occur._search_order
+    monkeypatch.setattr(occur, "_search_order", lambda P, dense: seen.append(dense) or order(P, dense))
+
+    def dense(Q, induced):
+        seen.clear()
+        for injective in (False, True):
+            count_occurrences(N_POSET, Q, OccurrenceFlavor(induced, injective))
+        assert len(set(seen)) == 1, seen
+        return seen[0]
+
+    assert dense(chain(12), True)
+    assert not dense(chain(12), False)
+    assert not dense(antichain(12), True)
+    # three levels of two, each below the next: 12 relations, 3 * 12 = 6 * 6;
+    # 1 < 2 makes 13 (3 * |relations| = n * n + 1 has no solution)
+    levels = [(a, b) for a in range(1, 7) for b in range(1, 7) if (a + 1) // 2 < (b + 1) // 2]
+    assert len(poset_from_relations(6, levels).relations()) == 12
+    assert not dense(poset_from_relations(6, levels), True)
+    assert dense(poset_from_relations(6, levels + [(1, 2)]), True)
 
 
 def test_counts_match_oracle_when_search_order_is_not_label_order(rng):
@@ -314,6 +338,7 @@ def test_automorphisms_match_brute(rng):
     for _ in range(40):
         P = random_poset(rng, rng.randint(1, 6))
         assert automorphism_maps(P) == brute_automorphisms(P)
+        assert count_automorphisms_bruteforce(P) == len(brute_automorphisms(P))
 
 
 def test_unlabeled_injective_is_labeled_over_aut(rng):
@@ -385,6 +410,17 @@ def test_chain_occurrences_examples(rng):
         count_chain_occurrences(0, chain(3))
     Q = random_poset(rng, 7)
     assert count_chain_occurrences(2, Q) == len(Q.relations())
+
+
+def test_chain_longer_than_text_is_counted_without_rounds(monkeypatch):
+    # a k-chain has k distinct elements: k > |Q| gives 0 before any DP round
+    calls, walk = [], occur._bits
+    monkeypatch.setattr(occur, "_bits", lambda row: calls.append(row) or walk(row))
+    assert count_chain_occurrences(1000, antichain(3)) == 0
+    assert calls == []
+    for n in (1, 2, 5):
+        assert count_chain_occurrences(n, chain(n)) == 1
+        assert count_chain_occurrences(n + 1, chain(n)) == 0
 
 
 def test_chain_occurrences_against_subset_scan(rng):
