@@ -18,6 +18,7 @@ LE_METHODS = {
     "recurse": lecount.count_linear_extensions,
     "brute": lecount.count_le_bruteforce,
 }
+GEN_DRAWS = 2_000_000  # gen poset N makes N(N - 1) / 2 random draws, so N <= 2,000
 
 
 class UsageError(Exception):
@@ -151,6 +152,9 @@ def _run_occur(args, out):
 def _run_gen(args, out):
     rng = random.Random(args.seed)
     if args.kind == "poset":
+        if args.n * (args.n - 1) // 2 > GEN_DRAWS:
+            raise errors.SizeLimitError("gen poset %d needs %d random draws, more than the limit of %d"
+                                        % (args.n, args.n * (args.n - 1) // 2, GEN_DRAWS))
         pairs = [(a, b) for a in range(1, args.n + 1) for b in range(a + 1, args.n + 1)
                  if rng.random() < args.prob]
         out.write(core.format_poset(core.poset_from_relations(args.n, pairs)))

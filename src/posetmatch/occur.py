@@ -15,11 +15,14 @@ over its own images, with no call per image, and for each adds the
 pairs of the last two by a popcount per candidate of the second-to-last,
 or, when it has many candidates for the text's size, by one big-int step.
 
-Unlabeled occurrences are orbits under precomposition with Aut(P).
-Counts use Burnside's lemma: the maps f with f∘g = f for an automorphism
-g are the occurrences of the fold P/<g>, which has one element per cycle
-of g, so the backtracker counts one labeled poset per distinct fold.  The
-orbit-minimum leaf filter serves enumeration only.
+Unlabeled occurrences are orbits under precomposition with Aut(P).  A
+labeled count is one search, and an unlabeled injective count two:
+|Aut(P)|, then the text, since only the identity fixes an injective
+map.  Only unlabeled non-injective counts list Aut(P), for Burnside's
+lemma: the maps f with f∘g = f for an automorphism g are the occurrences
+of the fold P/<g>, one element per cycle of g, so the backtracker counts
+one labeled poset per distinct fold.  The orbit-minimum leaf filter
+serves enumeration only.
 """
 
 import sys
@@ -53,12 +56,15 @@ def _search_order(P, dense):
     rows = [P.up[v] | P.down[v] for v in range(P.n)]
     if dense:
         rows = [((1 << P.n) - 1) & ~row & ~(1 << v) for v, row in enumerate(rows)]
-    placed, order, left = 0, [], list(range(P.n))
+    # a key packs both counts, the unplaced one in its low shift bits; > leaves ties to the lowest label
+    left, order, shift = (1 << P.n) - 1, [], P.n.bit_length()
     while left:
-        v = max(left, key=lambda v: ((rows[v] & placed).bit_count(), (rows[v] & ~placed).bit_count(), -v))
-        left.remove(v)
-        order.append(v)
-        placed |= 1 << v
+        best, placed = -1, ~left
+        for v in _bits(left):
+            if (key := (rows[v] & placed).bit_count() << shift | (rows[v] & left).bit_count()) > best:
+                best, pick = key, v
+        order.append(pick)
+        left ^= 1 << pick
     return order
 
 
@@ -95,29 +101,26 @@ def _count_maps(P, Q, induced, injective, deadline=None, visit=None):
     # rows[x] holds x itself only for incomparable or unconstrained pairs
     # of a non-injective search
     incomparable = [full & ~(Q.up[j] | Q.down[j] | injective << j) for j in range(n)] if induced else None
-
-    def constraint(u, v):
-        """The image of v must lie in constraint(u, v)[image of u], the text
-        elements related to it as v is to u (None: unconstrained)."""
-        return Q.up if P.up[u] >> v & 1 else Q.down if P.down[u] >> v & 1 else incomparable
-
     if visit is None:
         # dense: the incomparable rows hold n * n - 2 * |up| bits, fewer than 2 * |up|
         order = _search_order(P, induced and 3 * sum(map(int.bit_count, Q.up)) > n * n)
         last = k - 1
     else:
         order, last = range(k), k + 2  # no closed-form tail: every leaf is visited
-    # links[i]: (j, rows) for each later j-th element that the i-th one constrains
-    links = [[(j, rows) for j in range(i + 1, k) if (rows := constraint(v, order[j])) is not None]
+    # links[i]: (j, rows) for each later j-th element that the i-th one constrains: the
+    # image of order[j] lies in rows[image of order[i]], related to it as order[j] to order[i]
+    kinds = (incomparable, Q.up, Q.down)
+    links = [[(j, rows) for j in range(i + 1, k)
+              if (rows := kinds[P.up[v] >> order[j] & 1 or 2 * (P.down[v] >> order[j] & 1)]) is not None]
              for i, v in enumerate(order)]
     assignment = [0] * k
     cutoff = n ** 3 >> 17
     if visit is None and k >= 2:
-        anywhere = [full & ~(injective << x) for x in range(n)]  # rows of unconstrained pairs
-        # ends[x]: what the second-to-last at x leaves to the last
-        ends = dict(links[last - 1]).get(last, anywhere)
-        if k >= 3:  # near[x], far[x]: what the third-to-last at x leaves to the last two
-            near, far = (dict(links[last - 2]).get(j, anywhere) for j in (last - 1, last))
+        # ends[x]: what the second-to-last at x leaves to the last; near[x], far[x]: what the
+        # third-to-last at x leaves to the last two (k >= 3); None marks an unconstrained pair
+        tail = [dict(links[i]).get(j) for i, j in ((last - 1, last), (last - 2, last - 1), (last - 2, last))]
+        anywhere = [full & ~(injective << x) for x in range(n)] if None in tail else None
+        ends, near, far = (anywhere if rows is None else rows for rows in tail)
         if cutoff < n:
             # stacked holds ends[x] in block x at stride n + 1; spread copies
             # an n-bit set to every block of n bits, diagonal keeps bit t of
@@ -262,30 +265,31 @@ def enumerate_occurrences(P, Q, flavor, budget=DEFAULT_ENUM_BUDGET):
 def count_occurrences(P, Q, flavor, deadline=None):
     """Number of occurrences of P in Q of the given flavor.
 
-    Labeled counts come straight from backtracking.  Unlabeled counts are
-    orbits under precomposition with Aut(P), counted by Burnside's lemma:
-    the sum over automorphisms g of the occurrences of the fold P/<g> (the
-    maps f with f∘g = f, see _fold_cycles), divided by |Aut(P)|, with one
-    search per distinct fold.  The deadline covers every search, the one
-    that lists or counts Aut(P) included, and is checked as each search
-    starts and every 4,096 steps of it: a step is a search node, an image
-    of the third-to-last pattern element or a candidate it leaves to the
+    A labeled count is one search.  Unlabeled counts are orbits under
+    precomposition with Aut(P), counted by Burnside's lemma: the sum over
+    automorphisms g of the occurrences of the fold P/<g> (the maps f with
+    f∘g = f, see _fold_cycles), divided by |Aut(P)|.  Non-injective ones
+    list Aut(P) and search once per distinct fold; an injective one, which
+    only the identity fixes, is two searches: |Aut(P)|, then the text.  The
+    deadline covers every search and is checked as each starts and every
+    4,096 steps of it: a step is a search node, an image of the
+    third-to-last pattern element or a candidate it leaves to the
     second-to-last.  An injective flavor with more pattern than text
     elements gives 0 by pigeonhole, before any search.
     """
     if flavor.injective and P.n > Q.n:
         return 0
-    # f∘g = f forces f(v) = f(g(v)), so only the identity fixes an injective
-    # map: those counts need the order of Aut(P), not its members
-    fold_all = flavor.unlabeled and not flavor.injective
-    group = [] if fold_all else [tuple(range(1, P.n + 1))]
-    if fold_all:  # Aut(P), listed as automorphism_maps does, under the deadline
+    if flavor.unlabeled and not flavor.injective:
+        group = []  # Aut(P), listed as automorphism_maps does, under the deadline
         _count_maps(P, P, True, True, deadline, lambda g: group.append(tuple(g)))
-    folds = Counter()
-    for leaders, weight in Counter(map(_cycle_leaders, group)).items():
-        if (fold := _fold_cycles(P, leaders, flavor.induced)) is not None:
-            folds[fold] += weight
-    order = _count_maps(P, P, True, True, deadline) if flavor.unlabeled and not fold_all else len(group)
+        folds = Counter()
+        for leaders, weight in Counter(map(_cycle_leaders, group)).items():
+            if (fold := _fold_cycles(P, leaders, flavor.induced)) is not None:
+                folds[fold] += weight
+        order = len(group)
+    else:
+        # f∘g = f forces f(v) = f(g(v)): an injective count needs |Aut(P)|, not Aut(P)
+        folds, order = {P: 1}, _count_maps(P, P, True, True, deadline) if flavor.unlabeled else 1
     total = sum(weight * _count_maps(fold, Q, flavor.induced, flavor.injective, deadline)
                 for fold, weight in folds.items())
     if total % order:

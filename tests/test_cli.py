@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from posetmatch import chain, cli, decomp, errors, gallai_tree, poset_from_permutation
@@ -293,6 +294,19 @@ def test_gen_bad_size_is_usage_error():
                  ["gen", "poset", "5", "7", "1"], ["gen", "poset", "5", "inf", "1"]):
         code, out, err = invoke(argv)
         assert code == 1 and out == "" and "usage error" in err, argv
+
+
+def test_gen_poset_refuses_too_many_draws_before_drawing(monkeypatch):
+    # N = 10^6 would make about 5 * 10^11 draws; the refusal comes first
+    start = time.monotonic()
+    code, out, err = invoke(["gen", "poset", "1000000", "0.5", "1"])
+    assert time.monotonic() - start < 1
+    assert code == 3 and out == "" and err.count("\n") == 1
+    assert "1000000" in err and str(cli.GEN_DRAWS) in err
+    # the limit counts draws, N(N - 1) / 2: 10 allow N = 5 and refuse N = 6
+    monkeypatch.setattr(cli, "GEN_DRAWS", 10)
+    assert invoke(["gen", "poset", "5", "0.5", "1"])[0] == 0
+    assert invoke(["gen", "poset", "6", "0.5", "1"])[0] == 3
 
 
 def test_gen_roundtrip(tmp_path):

@@ -112,6 +112,30 @@ def test_search_order_places_the_most_constrained_first():
     assert _search_order(R, False)[0] == 30
 
 
+def reference_search_order(P, dense):
+    """The order _search_order must give, written plainly: a max over the
+    unplaced elements by (constraints to the placed, to the unplaced, -label)."""
+    rows = [P.up[v] | P.down[v] for v in range(P.n)]
+    if dense:
+        rows = [((1 << P.n) - 1) & ~row & ~(1 << v) for v, row in enumerate(rows)]
+    placed, order, left = 0, [], list(range(P.n))
+    while left:
+        v = max(left, key=lambda v: ((rows[v] & placed).bit_count(), (rows[v] & ~placed).bit_count(), -v))
+        left.remove(v)
+        order.append(v)
+        placed |= 1 << v
+    return order
+
+
+def test_search_order_matches_its_reference():
+    for k in range(1, 10):
+        for p in (0.2, 0.5, 0.8):
+            for s in range(30):
+                P = random_poset(random.Random(s), k, p)
+                for dense in (False, True):
+                    assert _search_order(P, dense) == reference_search_order(P, dense), (P, dense)
+
+
 def test_induced_counts_in_dense_texts_search_by_incomparable_pairs(monkeypatch):
     # the dense order is chosen iff the count is induced and more than a
     # third of the text's ordered pairs are related: 3 * |relations| > n * n
@@ -232,6 +256,32 @@ def test_unlabeled_injective_count_does_not_list_automorphisms(monkeypatch):
     monkeypatch.setattr(occur, "automorphism_maps", lambda P: pytest.fail("Aut(P) listed"))
     for induced in (False, True):
         assert count_occurrences(antichain(3), antichain(4), OccurrenceFlavor(induced, True, True)) == 4
+
+
+def test_only_unlabeled_non_injective_counts_list_and_fold_automorphisms(monkeypatch):
+    # a labeled count is one search of P in the text; an unlabeled injective
+    # count is two, |Aut(P)| on P and then the text; neither builds cycle
+    # leaders or folds, though Aut(P) here has two members
+    calls = []
+
+    def spy(name):
+        inner = getattr(occur, name)
+        monkeypatch.setattr(occur, name, lambda *args, **kw: calls.append((name, args)) or inner(*args, **kw))
+
+    for name in ("_count_maps", "_cycle_leaders", "_fold_cycles"):
+        spy(name)
+    P, Q = SYMMETRIC_PATTERNS[1], random_poset(random.Random(3), 6, 0.5)
+    for flavor in ALL_FLAVORS:
+        if flavor.unlabeled and not flavor.injective:
+            continue
+        calls.clear()
+        count_occurrences(P, Q, flavor)
+        searches = [(P, P), (P, Q)] if flavor.unlabeled else [(P, Q)]
+        assert [name for name, _ in calls] == ["_count_maps"] * len(searches), flavor
+        assert all(args[0] is a and args[1] is b for (_, args), (a, b) in zip(calls, searches)), flavor
+        if not flavor.unlabeled:
+            with pytest.raises(TimeoutError):
+                count_occurrences(P, Q, flavor, deadline=time.monotonic() - 1)
 
 
 # automorphisms whose cycles are not modules (a swap of two 2-chains pairs
