@@ -1,11 +1,11 @@
 """Linear-extension counting and dimension-2 automorphism counting.
 
 Two polynomial engines are provided: a down-set DP over a Dilworth chain
-cover, pushing each down-set's count forward one size at a time, and a
-recursion over the Gallai tree that handles prime quotients by inflating
-each quotient element to a chain (inflation preserves the quotient's
-width, so the DP stays polynomial for bounded intrinsic width).
-Exhaustive oracles live here too.
+cover, summing each group of down-sets with one part off the longest
+chain in the packed lanes of one int, and a recursion over the Gallai
+tree that handles prime quotients by inflating each quotient element to
+a chain (inflation preserves the quotient's width, so the DP stays
+polynomial for bounded intrinsic width).  Exhaustive oracles live here too.
 
 Counts are plain Python integers (arbitrary precision).
 """
@@ -24,20 +24,9 @@ from .occur import count_occurrences
 DEFAULT_NODE_BUDGET = 2_000_000
 DEFAULT_ORACLE_BUDGET = 9
 
-__all__ = [
-    "DownSetLattice",
-    "CanonicalCode",
-    "downset_lattice",
-    "lattice_as_poset",
-    "count_le_downset_dp",
-    "inflate",
-    "count_linear_extensions",
-    "count_occurrences_in_chain",
-    "count_automorphisms_dim2",
-    "canonical_code",
-    "count_automorphisms_bruteforce",
-    "count_le_bruteforce",
-]
+__all__ = ["DownSetLattice", "CanonicalCode", "downset_lattice", "lattice_as_poset", "count_le_downset_dp",
+           "inflate", "count_linear_extensions", "count_occurrences_in_chain", "count_automorphisms_dim2",
+           "canonical_code", "count_automorphisms_bruteforce", "count_le_bruteforce"]
 
 
 @dataclass(frozen=True)
@@ -67,29 +56,56 @@ class CanonicalCode:
     code: bytes
 
 
-def _levels(P, chains):
-    """The down-sets of P over the chain cover, one size at a time.
+def _sweep(P, chains):
+    """The down-sets of P over the cover, grouped by their part D' off its longest chain, the row.
 
-    Yields, for sizes 1..n in turn, a dict from each down-set of that
-    size, as a bitmask, to its number of linear extensions e(D).  D meets
-    each chain c in a prefix of t elements, so only c[t] can extend D, and
-    it does iff D holds everything below it; D then adds e(D) to e(D+c[t]).
-    A chain's table gives, per t, the bit and down row of c[t], and past
-    its end a row that no D can hold."""
-    tables = [(sum(1 << (x - 1) for x in c), [(1 << (x - 1), P.down[x - 1]) for x in c] + [(0, -1)])
-              for c in chains]
-    level = {0: 1}
-    for _ in range(P.n):
-        nxt = {}
-        for D, e in level.items():
-            out = ~D
-            for m, table in tables:
-                bit, below = table[(D & m).bit_count()]
-                if not below & out:
-                    E = D | bit
-                    nxt[E] = nxt.get(E, 0) + e
-        yield nxt
-        level = nxt
+    The t that make D' plus the first t row elements a down-set form an interval [L, U], and
+    e(D', t) = e(D', t - 1) + the sum of e(D' - c[-1], t) over chains c whose top can leave D'.
+    A row e(D', L..U) is one int of W-bit lanes, W whole bytes above the multinomial of the
+    chain sizes, which bounds every e(D).  Returns the row's prefix masks, W and the levels of
+    groups by |D'|: dicts from D' to [L, U, row].  A chain's table holds, per t, c[t]'s bit,
+    off-row down row and row elements below, and past its end a row that no D' holds."""
+    row = max(chains, key=len, default=())
+    prefix = list(accumulate((1 << (x - 1) for x in row), initial=0))
+    on, off = prefix[-1], ~prefix[-1]
+    below_row = [P.down[x - 1] & off for x in row] + [-1]
+    tables = [(sum(1 << (x - 1) for x in c),
+               [(1 << (x - 1), P.down[x - 1] & off, (P.down[x - 1] & on).bit_count()) for x in c] + [(0, -1, 0)])
+              for c in chains if c is not row]
+    B = (_multinomial([len(c) for c in chains]).bit_length() + 8) // 8
+    W = 8 * B
+    ones = list(accumulate(range(min(len(row) + 1, 4096 // W)), lambda a, _: a << W | 1, initial=0))
+
+    def levels():
+        level = {0: [0, 0, 1]}
+        while level:
+            for D, group in level.items():
+                L, U, acc = group
+                while not below_row[U] & ~D:
+                    U += 1
+                if U - L + 1 < len(ones):
+                    acc = acc * ones[U - L + 1] & (1 << (U - L + 1) * W) - 1
+                else:
+                    data = acc.to_bytes((U - L + 1) * B, "little")
+                    sums = accumulate(int.from_bytes(data[i:i + B], "little") for i in range(0, len(data), B))
+                    acc = int.from_bytes(b"".join(s.to_bytes(B, "little") for s in sums), "little")
+                group[1:] = U, acc
+            yield level
+            nxt = {}
+            for D, (L, U, acc) in level.items():
+                out = ~D
+                for m, table in tables:
+                    bit, below, low = table[(D & m).bit_count()]
+                    if not below & out:
+                        part = acc >> (low - L) * W if low > L else acc
+                        group = nxt.get(D | bit)
+                        if group:
+                            group[2] += part
+                        else:
+                            nxt[D | bit] = [low if low > L else L, U, part]
+            level = nxt
+
+    return prefix, W, levels()
 
 
 def downset_lattice(P, cd):
@@ -97,12 +113,12 @@ def downset_lattice(P, cd):
     minus each maximal element: a chain's last member in D whose up row misses D."""
     chains = [[x - 1 for x in c] for c in cd.chains]
     masks = [sum(1 << x for x in c) for c in chains]
-    nodes = {(0,) * len(masks): []}
-    for level in _levels(P, cd.chains):
-        for D in level:
-            key = tuple((D & m).bit_count() for m in masks)
-            nodes[key] = sorted(key[:j] + (t - 1,) + key[j + 1:]
-                                for j, (c, t) in enumerate(zip(chains, key)) if t and not P.up[c[t - 1]] & D)
+    prefix, _, levels = _sweep(P, cd.chains)
+    nodes = {}
+    for D in (off | prefix[t] for level in levels for off, (L, U, _) in level.items() for t in range(L, U + 1)):
+        key = tuple((D & m).bit_count() for m in masks)
+        nodes[key] = sorted(key[:j] + (t - 1,) + key[j + 1:]
+                            for j, (c, t) in enumerate(zip(chains, key)) if t and not P.up[c[t - 1]] & D)
     return DownSetLattice(nodes, cd)
 
 
@@ -118,12 +134,13 @@ def lattice_as_poset(lattice):
 
 
 def count_le_downset_dp(P, node_budget=DEFAULT_NODE_BUDGET):
-    """e(P) by the down-set sweep of _levels over a Dilworth cover of P.
+    """e(P) by the down-set sweep of _sweep over a Dilworth cover of P: each group of
+    down-sets with one part off the longest chain is an interval, summed in packed lanes.
 
-    node_budget bounds the down-sets met, the empty one included: k chains
-    hold an antichain with 2^k down-sets, so 2^k past it is refused at once;
-    otherwise MemoryBudgetError is raised after the first level that takes
-    the count past it (a projected count prod(|C_j| + 1) that fits passes).
+    node_budget bounds the down-sets met, the same as one at a time, the empty one included:
+    k chains hold an antichain with 2^k down-sets, so 2^k past it is refused at once;
+    otherwise MemoryBudgetError is raised after the first level of groups that takes the
+    count past it (a projected count prod(|C_j| + 1) that fits passes).
     A negative node_budget raises RangeError.
     """
     if node_budget < 0:
@@ -132,13 +149,14 @@ def count_le_downset_dp(P, node_budget=DEFAULT_NODE_BUDGET):
     over = "down-sets over %d chains exceed node budget %d" % (len(chains), node_budget)
     if 1 << len(chains) > node_budget:
         raise MemoryBudgetError("2^%d %s" % (len(chains), over))
-    met, level = 1, {0: 1}
-    for level in _levels(P, chains):
-        met += len(level)
+    _, W, levels = _sweep(P, chains)
+    met = 0
+    for level in levels:
+        met += sum(U - L + 1 for L, U, _ in level.values())
         if met > node_budget:
             raise MemoryBudgetError(over)
-    (count,) = level.values()
-    return count
+    ((L, U, row),) = level.values()
+    return row >> (U - L) * W
 
 
 def inflate(quotient, sizes):
@@ -163,7 +181,7 @@ def inflate(quotient, sizes):
 
 
 def _multinomial(sizes):
-    return factorial(sum(sizes)) // prod(factorial(s) for s in sizes)
+    return prod(comb(n, s) for n, s in zip(accumulate(sizes), sizes))
 
 
 def count_linear_extensions(P, node_budget=DEFAULT_NODE_BUDGET):

@@ -317,7 +317,7 @@ def count_chain_occurrences(k, Q):
     """Number of k-element chains of Q, by dynamic programming.
 
     c_j(v) = sum of c_{j-1}(u) over u < v; each round reads only the last, so
-    no element order is needed.  Polynomial in |Q| and k; 0, with no round, if k > |Q|.
+    no element order is needed.  Polynomial in |Q| and k; 0 at once if k > |Q|, and once a round is all 0.
     """
     if k < 1:
         raise errors.RangeError("chain length must be >= 1")
@@ -326,4 +326,6 @@ def count_chain_occurrences(k, Q):
     prev = [1] * Q.n
     for _ in range(k - 1):
         prev = [sum(map(prev.__getitem__, _bits(row))) for row in Q.down]
+        if not any(prev):
+            return 0
     return sum(prev)

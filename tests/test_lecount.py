@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,7 @@ from posetmatch import (
     width,
 )
 from posetmatch.errors import MemoryBudgetError, RangeError, SizeLimitError
-from posetmatch.lecount import DEFAULT_NODE_BUDGET, _levels, count_automorphisms_bruteforce, count_le_bruteforce
+from posetmatch.lecount import DEFAULT_NODE_BUDGET, _sweep, count_automorphisms_bruteforce, count_le_bruteforce
 
 from conftest import random_poset, relabel
 
@@ -157,16 +158,24 @@ def test_le_memory_budget():
 
 
 def test_levels_hold_the_extension_count_of_every_downset(rng):
-    for _ in range(40):
-        P = random_poset(rng, rng.randint(0, 7))
+    # every down-set is its part off the row chain plus a row prefix t in
+    # [L, U], met once, with e(D) in lane t - L and no lane past U
+    posets = [antichain(0), chain(1), chain(6)] + [random_poset(rng, rng.randint(0, 7)) for _ in range(40)]
+    for P in posets:
         for R in (P, relabel(rng, P)):
-            seen = 0
-            for size, level in enumerate(_levels(R, dilworth(R).chains), 1):
-                for D, e in level.items():
-                    assert D.bit_count() == size
-                    assert e == count_le_bruteforce(restrict(R, [x + 1 for x in range(R.n) if D >> x & 1]))
-                seen += len(level)
-            assert seen + 1 == len(brute_downsets(R))
+            prefix, W, levels = _sweep(R, dilworth(R).chains)
+            seen = []
+            for size, level in enumerate(levels):
+                for off, (L, U, row) in level.items():
+                    assert off.bit_count() == size and not off & prefix[-1] and L <= U
+                    assert row >> (U - L + 1) * W == 0
+                    for t in range(L, U + 1):
+                        D = off | prefix[t]
+                        e = row >> (t - L) * W & (1 << W) - 1
+                        assert e == count_le_bruteforce(restrict(R, [x + 1 for x in range(R.n) if D >> x & 1]))
+                        seen.append(D)
+            expected = sorted(sum(1 << (x - 1) for x in S) for S in brute_downsets(R))
+            assert sorted(seen) == expected
 
 
 def _projected(P):
@@ -206,6 +215,70 @@ def test_le_downset_budget_between_real_and_projected():
         count_le_downset_dp(P, node_budget=real - 1)
     with pytest.raises(MemoryBudgetError, match=r"^2\^5 down-sets over 5 chains exceed node budget 31$"):
         count_le_downset_dp(P, node_budget=31)
+
+
+def band_prime(rng, k, length):
+    """k chains of length on shuffled labels, element i of each below element
+    i + 2 + U(0, 1) of every other: the extensions workload's width-k primes."""
+    labels = list(range(1, k * length + 1))
+    rng.shuffle(labels)
+    chains = [labels[c * length:(c + 1) * length] for c in range(k)]
+    pairs = [p for c in chains for p in zip(c, c[1:])]
+    for a in chains:
+        for b in chains:
+            for i in range(length):
+                j = i + 2 + rng.randint(0, 1)
+                if a is not b and j < length:
+                    pairs.append((a[i], b[j]))
+    return poset_from_relations(k * length, pairs)
+
+
+def test_le_downset_budget_is_exact_on_band_primes():
+    # a budget of exactly the down-sets met passes, one less is refused, for
+    # the sweep on P and for the recursion's sweep on the inflated quotient
+    for seed in range(4):
+        P = band_prime(random.Random("band/%d" % seed), 5, 8)
+        tree = gallai_tree(P)
+        assert tree.kind == "prime" and [node.kind for node in tree.nodes()].count("prime") == 1
+        Q = inflate(tree.quotient, [len(c.elements) for c in tree.children])
+        expected = count_le_downset_dp(P)
+        for engine, R in ((count_le_downset_dp, P), (count_linear_extensions, Q)):
+            real = len(downset_lattice(R, dilworth(R)).nodes)
+            assert 2 ** width(R) < real
+            assert engine(P, node_budget=real) == expected
+            over = r"^down-sets over %d chains exceed node budget %d$" % (width(R), real - 1)
+            with pytest.raises(MemoryBudgetError, match=over):
+                engine(P, node_budget=real - 1)
+
+
+def test_lanes_hold_the_full_count(rng):
+    # disjoint chains have the multinomial of their sizes as e(P), the very
+    # bound the lane width is drawn from
+    shapes = [[12] * 3, [12] * 4, [12] * 5, [8] * 6]
+    while len(shapes) < 16:
+        sizes = [rng.randint(1, 12) for _ in range(rng.randint(3, 6))]
+        if math.prod(s + 1 for s in sizes) <= 200_000:
+            shapes.append(sizes)
+    for sizes in shapes:
+        ends = list(itertools.accumulate(sizes))
+        P = poset_from_relations(ends[-1], [(x, x + 1) for x in range(1, ends[-1]) if x not in ends])
+        expected = math.factorial(ends[-1]) // math.prod(map(math.factorial, sizes))
+        assert count_le_downset_dp(P) == count_le_downset_dp(relabel(rng, P)) == expected
+
+
+def test_long_rows_take_the_linear_scan():
+    # rows of thousands of lanes.  N and D(2413) are the same poset, and N
+    # inflated by m has sum over i of C(m - 1 + i, i) C(3m - i, m) extensions:
+    # a's and b's up to the last b, i a's among them, then the other a's
+    # before every c, and the d's anywhere after the last b
+    m = 300
+    closed = sum(math.comb(m - 1 + i, i) * math.comb(3 * m - i, m) for i in range(m + 1))
+    N = poset_from_relations(4, [(1, 3), (2, 3), (2, 4)])
+    X = poset_from_permutation(Permutation([2, 4, 1, 3]))
+    for P, expected in ((chain(2000), 1), (inflate(N, [m] * 4), closed), (inflate(X, [m] * 4), closed)):
+        start = time.monotonic()
+        assert count_le_downset_dp(P) == count_linear_extensions(P) == expected
+        assert time.monotonic() - start < 2
 
 
 def test_le_negative_budget_is_refused():

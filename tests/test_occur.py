@@ -473,6 +473,19 @@ def test_chain_longer_than_text_is_counted_without_rounds(monkeypatch):
         assert count_chain_occurrences(n + 1, chain(n)) == 0
 
 
+def test_chain_longer_than_height_stops_at_the_first_empty_round(monkeypatch):
+    # height(Q) < k <= |Q|: the first round whose counts are all 0 ends the DP
+    start = time.monotonic()
+    assert count_chain_occurrences(1000, antichain(2000)) == 0
+    assert time.monotonic() - start < 0.1
+    rounds, walk = [], occur._bits
+    monkeypatch.setattr(occur, "_bits", lambda row: rounds.append(row) or walk(row))
+    Q = poset_from_relations(6, [(1, 2), (2, 3), (4, 5)])
+    assert count_chain_occurrences(6, Q) == 0
+    assert len(rounds) == 3 * Q.n
+    assert count_chain_occurrences(3, Q) == 1
+
+
 def test_chain_occurrences_against_subset_scan(rng):
     for _ in range(15):
         Q = random_poset(rng, 7)
