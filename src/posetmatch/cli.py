@@ -87,6 +87,7 @@ def build_parser():
     p.add_argument("--method", choices=list(LE_METHODS), default="auto")
     p.add_argument("--check", action="store_true",
                    help="also run the brute-force oracle and fail on mismatch")
+    p.set_defaults(run=_run_le)
 
     p = sub.add_parser("occur", help="count or enumerate occurrences")
     p.add_argument("--pattern", required=True)
@@ -97,23 +98,34 @@ def build_parser():
     p.add_argument("--injective", action="store_true")
     p.add_argument("--unlabeled", action="store_true")
     p.add_argument("--enumerate", action="store_true")
+    p.set_defaults(run=_run_occur)
 
     p = sub.add_parser("auts", help="count automorphisms of a permutation")
     p.add_argument("perm", help="one-line permutation, e.g. \"2 1\"")
+    p.set_defaults(run=lambda args, out: out.write(
+        _decimal(lecount.count_automorphisms_dim2(core.parse_permutation(args.perm))) + "\n"))
 
-    for verb in ("decomp", "width", "iwidth", "chains"):
+    for verb, text in (("decomp", lambda P: decomp.tree_to_sexpr(decomp.gallai_tree(P)) + "\n"),
+                       ("width", lambda P: "%d\n" % decomp.width(P)),
+                       ("iwidth", lambda P: "%d\n" % decomp.intrinsic_width(P)),
+                       ("chains", lambda P: "".join(" ".join(map(str, seq)) + "\n"
+                                                    for seq in decomp.dilworth(P).chains))):
         p = sub.add_parser(verb)
         p.add_argument("poset")
+        p.set_defaults(run=lambda args, out, text=text: out.write(text(_load_poset(args.poset))))
 
     p = sub.add_parser("sat-reduce", help="write the 3-SAT gadget")
     p.add_argument("cnf")
     p.add_argument("--pattern-out", required=True)
     p.add_argument("--text-out", required=True)
+    p.set_defaults(run=_run_sat_reduce)
 
     p = sub.add_parser("sat-verify", help="verify the reduction on a formula")
     p.add_argument("cnf")
     p.add_argument("--method", choices=["backtrack", "structured"], default="structured")
     p.add_argument("--timeout", type=_real(lambda s: 0 < s < math.inf, "0 < seconds < inf"), default=60.0)
+    p.set_defaults(run=lambda args, out: out.write(str(sat.verify_reduction(
+        sat.parse_dimacs(_read(args.cnf)), method=args.method, timeout=args.timeout)) + "\n"))
 
     kinds = sub.add_parser("gen", help="generate seeded instances").add_subparsers(
         dest="kind", required=True)
@@ -121,9 +133,11 @@ def build_parser():
     p.add_argument("n", type=_size(0))
     p.add_argument("prob", type=_real(lambda p: 0 <= p <= 1, "0 <= p <= 1"), help="edge probability")
     p.add_argument("seed", type=int)
+    p.set_defaults(run=_run_gen_poset)
     p = kinds.add_parser("perm")
     p.add_argument("n", type=_size(1))
     p.add_argument("seed", type=int)
+    p.set_defaults(run=_run_gen_perm)
 
     return parser
 
@@ -149,19 +163,28 @@ def _run_occur(args, out):
         out.write(_decimal(occur.count_occurrences(P, Q, flavor)) + "\n")
 
 
-def _run_gen(args, out):
+def _run_sat_reduce(args, out):
+    gadget = sat.build_gadget(sat.parse_dimacs(_read(args.cnf)))
+    with open(args.pattern_out, "w", encoding="utf-8") as handle:
+        handle.write(core.format_permutation(gadget.pattern))
+    with open(args.text_out, "w", encoding="utf-8") as handle:
+        handle.write(core.format_permutation(gadget.text))
+
+
+def _run_gen_poset(args, out):
+    if args.n * (args.n - 1) // 2 > GEN_DRAWS:
+        raise errors.SizeLimitError("gen poset %d needs %d random draws, more than the limit of %d"
+                                    % (args.n, args.n * (args.n - 1) // 2, GEN_DRAWS))
     rng = random.Random(args.seed)
-    if args.kind == "poset":
-        if args.n * (args.n - 1) // 2 > GEN_DRAWS:
-            raise errors.SizeLimitError("gen poset %d needs %d random draws, more than the limit of %d"
-                                        % (args.n, args.n * (args.n - 1) // 2, GEN_DRAWS))
-        pairs = [(a, b) for a in range(1, args.n + 1) for b in range(a + 1, args.n + 1)
-                 if rng.random() < args.prob]
-        out.write(core.format_poset(core.poset_from_relations(args.n, pairs)))
-    else:
-        img = list(range(1, args.n + 1))
-        rng.shuffle(img)
-        out.write(core.format_permutation(core.Permutation(img)))
+    pairs = [(a, b) for a in range(1, args.n + 1) for b in range(a + 1, args.n + 1)
+             if rng.random() < args.prob]
+    out.write(core.format_poset(core.poset_from_relations(args.n, pairs)))
+
+
+def _run_gen_perm(args, out):
+    img = list(range(1, args.n + 1))
+    random.Random(args.seed).shuffle(img)
+    out.write(core.format_permutation(core.Permutation(img)))
 
 
 def run(argv, out=None, err=None):
@@ -169,34 +192,7 @@ def run(argv, out=None, err=None):
     err = err or sys.stderr
     try:
         args = build_parser().parse_args(argv)
-        if args.verb == "le":
-            _run_le(args, out)
-        elif args.verb == "occur":
-            _run_occur(args, out)
-        elif args.verb == "auts":
-            sigma = core.parse_permutation(args.perm)
-            out.write(_decimal(lecount.count_automorphisms_dim2(sigma)) + "\n")
-        elif args.verb == "decomp":
-            out.write(decomp.tree_to_sexpr(decomp.gallai_tree(_load_poset(args.poset))) + "\n")
-        elif args.verb == "width":
-            out.write("%d\n" % decomp.width(_load_poset(args.poset)))
-        elif args.verb == "iwidth":
-            out.write("%d\n" % decomp.intrinsic_width(_load_poset(args.poset)))
-        elif args.verb == "chains":
-            for seq in decomp.dilworth(_load_poset(args.poset)).chains:
-                out.write(" ".join(str(x) for x in seq) + "\n")
-        elif args.verb == "sat-reduce":
-            gadget = sat.build_gadget(sat.parse_dimacs(_read(args.cnf)))
-            with open(args.pattern_out, "w", encoding="utf-8") as handle:
-                handle.write(core.format_permutation(gadget.pattern))
-            with open(args.text_out, "w", encoding="utf-8") as handle:
-                handle.write(core.format_permutation(gadget.text))
-        elif args.verb == "sat-verify":
-            report = sat.verify_reduction(sat.parse_dimacs(_read(args.cnf)),
-                                          method=args.method, timeout=args.timeout)
-            out.write(str(report) + "\n")
-        elif args.verb == "gen":
-            _run_gen(args, out)
+        args.run(args, out)
     except UsageError as exc:
         err.write("usage error: %s\n" % exc)
         return 1

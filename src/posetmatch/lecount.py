@@ -256,6 +256,8 @@ def _code_and_auts(sigma):
         lift = rho.img == inv.img and by_value == codes
         return code, auts * (2 if lift else 1)
 
+    if sigma.n == 0:  # D() has no Gallai tree, and one automorphism: the empty map
+        return b"", 1
     return fold_tree(gallai_tree(poset_from_permutation(sigma)), fold)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from posetmatch import (
     OccurrenceFlavor,
+    OccurrenceMap,
     Permutation,
     antichain,
     chain,
@@ -65,6 +66,7 @@ def test_reversal_gives_antichain():
 def test_231_single_relation():
     P = poset_from_permutation(Permutation([2, 3, 1]))
     assert P.relations() == [(1, 2)]
+    assert repr(P) == "Poset(n=3, relations=[(1, 2)])"
 
 
 def test_d_sigma_rows_match_pairwise_definition(rng):
@@ -204,6 +206,8 @@ def test_is_occurrence_examples():
     non_inj = OccurrenceFlavor(induced=False, injective=False)
     assert is_occurrence((1, 1), antichain(2), chain(2), non_inj)
     assert not is_occurrence((1, 1), chain(2), chain(2), non_inj)
+    occurrence = OccurrenceMap((1, 1))
+    assert len(occurrence) == antichain(2).n and is_occurrence(occurrence, antichain(2), chain(2), non_inj)
 
 
 def test_induced_occurrence_implies_plain(rng):
@@ -250,6 +254,9 @@ def test_poset_parser_counts_blank_and_comment_lines():
 def test_permutation_roundtrip_and_errors():
     sigma = Permutation([3, 1, 2])
     assert parse_permutation(format_permutation(sigma)) == sigma
+    assert hash(Permutation((3, 1, 2))) == hash(sigma)
+    assert len({sigma, Permutation([3, 1, 2]), Permutation([1, 2, 3])}) == 2
+    assert repr(sigma) == "Permutation((3, 1, 2))"
     for bad in ["", "1 1", "1 3", "a b"]:
         with pytest.raises(FormatError):
             parse_permutation(bad)

@@ -1,13 +1,18 @@
 """The package's layering: helpers that modules share live in core or errors,
-and the only import from outside the standard library is the tests' pytest."""
+the only import from outside the standard library is the tests' pytest, and
+the package republishes each module's __all__."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
+
+import posetmatch
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "posetmatch"
 SHARED = {"core", "errors"}
+MODULES = ("core", "decomp", "lecount", "occur", "sat")  # the ones whose __all__ the package republishes
 
 
 def test_private_names_come_only_from_core_and_errors():
@@ -51,3 +56,26 @@ def test_imports_need_only_python_and_pytest():
     # the package runs on the standard library alone, and its tests add pytest
     assert not _foreign_imports(sorted(SRC.glob("*.py")), set())
     assert not _foreign_imports(sorted(TESTS.glob("*.py")), {"pytest", "posetmatch", "conftest"})
+
+
+def _defined_names(path):
+    """The names that a module's own top-level definitions and assignments bind."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            names |= {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    return names
+
+
+def test_package_exports_each_modules_all_once():
+    # __init__ republishes the modules' __all__ lists, so each public name
+    # is declared once, in the module that defines it
+    lists = {name: importlib.import_module("posetmatch." + name).__all__ for name in MODULES}
+    for name, exported in lists.items():
+        assert set(exported) <= _defined_names(SRC / (name + ".py")), name
+    every = [x for exported in lists.values() for x in exported]
+    assert len(every) == len(set(every)), sorted(x for x in set(every) if every.count(x) > 1)
+    # plus the submodules themselves, errors among them since the others import it
+    assert sorted(posetmatch.__all__) == sorted(every + list(MODULES) + ["errors"])

@@ -259,6 +259,10 @@ def test_lanes_hold_the_full_count(rng):
         sizes = [rng.randint(1, 12) for _ in range(rng.randint(3, 6))]
         if math.prod(s + 1 for s in sizes) <= 200_000:
             shapes.append(sizes)
+    # rows at the switch from one multiply by the all-ones lanes to the byte
+    # scan, which comes at 4096 // W lanes: 256 lanes at W = 16 for (1, b),
+    # and 170 at W = 24 for (3, b); a row has b + 1 lanes
+    shapes += [[1, 255], [1, 256], [1, 257], [3, 169], [3, 170], [3, 171]]
     for sizes in shapes:
         ends = list(itertools.accumulate(sizes))
         P = poset_from_relations(ends[-1], [(x, x + 1) for x in range(1, ends[-1]) if x not in ends])
@@ -387,6 +391,8 @@ def test_code_identifies_isomorphic_patterns():
 def test_code_distinguishes():
     assert code((1, 2)) != code((2, 1))
     assert code((1, 2, 3)) != code((2, 3, 1))
+    # D() has no Gallai tree, so its code is fixed apart from the fold
+    assert code(()) not in {code(s) for n in range(1, 4) for s in itertools.permutations(range(1, n + 1))}
 
 
 def test_code_iff_isomorphic_small():
@@ -429,7 +435,7 @@ def test_auts_examples():
 
 
 def test_auts_match_brute(rng):
-    for n in range(1, 6):
+    for n in range(6):
         for sigma in itertools.permutations(range(1, n + 1)):
             perm = Permutation(sigma)
             P = poset_from_permutation(perm)
