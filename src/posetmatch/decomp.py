@@ -268,6 +268,8 @@ def width(P):
 
 def intrinsic_width(P):
     """Maximum width over prime quotients of the Gallai tree; 1 if none."""
+    if P.n == 0:  # gallai_tree refuses it, and it has no prime quotient
+        return 1
     return max((width(node.quotient) for node in gallai_tree(P).nodes() if node.kind == "prime"), default=1)
 
 

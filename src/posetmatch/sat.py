@@ -152,50 +152,34 @@ def build_gadget(f):
     the required within-clause orderings and cross-clause growth even
     when a variable changes polarity between clauses.  Slots are indexed
     separately so a clause repeating a variable still gets distinct
-    values.  Everything is asserted post-construction.
+    values.  One loop per clause block builds its u, t and f values and
+    all seven rows, so the t/f placement lives in its per-slot loop.
+    Everything is asserted post-construction.
     """
     n, m = f.n, f.m
     denom = 24 * m + 2
-    pattern = []
+    pattern, text = [], []
     for i in range(1, n + 1):
         pattern += [2 * n + 2 * i - 1, i, 2 * n - i + 1, 2 * n + 2 * i]
-    u = {}
-    runmax = {1: 0, 2: 0, 3: 0}
-    for i in range(1, m + 1):
-        for j in (1, 2, 3):
-            runmax[j] = max(runmax[j], f.clauses[i - 1][j - 1][0])
-            u[i, j] = runmax[j] + Fraction(21 * m + 3 * (i - 1) + j, denom)
-    for i in range(1, m + 1):
-        pattern += [4 * n + 2 * i - 1, u[i, 1], u[i, 2], u[i, 3], 4 * n + 2 * i]
-
-    text = []
-    for i in range(1, n + 1):
         text += [4 * n + 4 * i - 1, 2 * i - 1, 4 * n - 2 * i + 2, 4 * n + 4 * i,
                  4 * n + 4 * i - 3, 2 * i, 4 * n - 2 * i + 1, 4 * n + 4 * i - 2]
-    t, fv = {}, {}
-    for i in range(1, m + 1):
-        for j in (1, 2, 3):
-            var = f.clauses[i - 1][j - 1][0]
+    u, t, fv = {}, {}, {}
+    runmax = [0, 0, 0]
+    for i, clause in enumerate(f.clauses, 1):
+        draws = []  # per slot: its t values and its f values, in the order rows take them
+        for j, (var, _) in enumerate(clause, 1):
+            runmax[j - 1] = max(runmax[j - 1], var)
+            u[i, j] = runmax[j - 1] + Fraction(21 * m + 3 * (i - 1) + j, denom)
             base = 21 * (i - 1) + 7 * (j - 1)
             for k in (1, 2, 3, 4):
                 t[i, j, k] = 2 * var + Fraction(base + k, denom)
             for k in (1, 2, 3):
                 fv[i, j, k] = 2 * var + Fraction(base + 4 + k, denom)
-    rows = [  # binary digits of the row index; 0 picks t, 1 picks f
-        (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0),
-    ]
-    t_next = {(i, j): 1 for i in range(1, m + 1) for j in (1, 2, 3)}
-    f_next = {(i, j): 1 for i in range(1, m + 1) for j in (1, 2, 3)}
-    for i in range(1, m + 1):
-        for s, digits in enumerate(rows):
+            draws.append((iter([t[i, j, k] for k in (1, 2, 3, 4)]), iter([fv[i, j, k] for k in (1, 2, 3)])))
+        pattern += [4 * n + 2 * i - 1, u[i, 1], u[i, 2], u[i, 3], 4 * n + 2 * i]
+        for s in range(7):  # binary digit j of s, slot 1 the highest: 0 takes a t, 1 an f
             text.append(8 * n + 14 * i - 1 - 2 * s)
-            for j, digit in zip((1, 2, 3), digits):
-                if digit == 0:
-                    text.append(t[i, j, t_next[i, j]])
-                    t_next[i, j] += 1
-                else:
-                    text.append(fv[i, j, f_next[i, j]])
-                    f_next[i, j] += 1
+            text += [next(slot[s >> 3 - j & 1]) for j, slot in enumerate(draws, 1)]
             text.append(8 * n + 14 * i - 2 * s)
 
     _assert_gadget_constraints(f, u, t, fv, pattern, text)
@@ -237,12 +221,15 @@ def _assert_gadget_constraints(f, u, t, fv, pattern, text):
             f_top[var] = max(f_top.get(var, 0), fv[i, j, 3])
 
 
+SAT_ORACLE_BUDGET = 20  # variables; 2^20 assignments make a 1 Mbit column
+
+
 def count_satisfying(f):
     """#SAT by exhaustion over all 2^n assignments (n <= 20), bit-parallel:
     bit b of variable v's column is bit v - 1 of assignment b, and the
     models are the AND over the clauses of the OR of their literals."""
-    if f.n > 20:
-        raise SizeLimitError("n = %d exceeds the #SAT oracle budget" % f.n)
+    if f.n > SAT_ORACLE_BUDGET:
+        raise SizeLimitError("n = %d exceeds the #SAT oracle budget of %d variables" % (f.n, SAT_ORACLE_BUDGET))
     columns, size = [], 1
     for _ in range(f.n):  # double the assignments, the new variable on top
         columns = [c | c << size for c in columns] + [((1 << size) - 1) << size]

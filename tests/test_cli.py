@@ -183,6 +183,9 @@ def test_width_and_iwidth(tmp_path):
     assert code == 0 and out == "2\n"
     code, out, _ = invoke(["iwidth", path])
     assert code == 0 and out == "2\n"
+    # the empty poset has no prime quotient, so the "1 if none" rule answers
+    path = write(tmp_path, "empty.poset", "p 0\n")
+    assert invoke(["iwidth", path]) == (0, "1\n", "")
 
 
 def test_chains(tmp_path):

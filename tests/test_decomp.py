@@ -248,6 +248,7 @@ def test_dilworth_properties(rng):
 def test_intrinsic_width_examples():
     assert intrinsic_width(chain(7)) == 1
     assert intrinsic_width(antichain(5)) == 1
+    assert intrinsic_width(antichain(0)) == 1
     assert intrinsic_width(poset_from_permutation(Permutation([2, 4, 1, 3]))) == 2
 
 

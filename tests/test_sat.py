@@ -136,6 +136,30 @@ def test_gadget_lengths():
     assert g.text.n == 8 * 2 + 35 * 1 == 51
 
 
+def test_gadget_golden():
+    # the whole gadget of REORDERED[0] (m = 3; x3 positive in clauses 1 and
+    # 2, negative in 3), one line per block, a text clause block on two
+    # (rows 0-3 and 4-6)
+    g = build_gadget(parse_dimacs(REORDERED[0]))
+    assert g.pattern.img == (
+        16, 1, 15, 17,
+        18, 3, 14, 19,
+        20, 6, 13, 21,
+        22, 2, 4, 7, 23,
+        24, 8, 5, 9, 25,
+        26, 10, 11, 12, 27)
+    assert g.text.img == (
+        78, 1, 75, 79, 76, 2, 74, 77,
+        82, 24, 73, 83, 80, 25, 72, 81,
+        86, 47, 71, 87, 84, 48, 70, 85,
+        100, 3, 26, 49, 101, 98, 4, 27, 53, 99, 96, 5, 30, 50, 97, 94, 6, 31, 54, 95,
+        92, 7, 28, 51, 93, 90, 8, 29, 55, 91, 88, 9, 32, 52, 89,
+        114, 56, 10, 33, 115, 112, 57, 11, 37, 113, 110, 58, 14, 34, 111, 108, 59, 15, 38, 109,
+        106, 60, 12, 35, 107, 104, 61, 13, 39, 105, 102, 62, 16, 36, 103,
+        128, 40, 63, 17, 129, 126, 41, 64, 21, 127, 124, 42, 67, 18, 125, 122, 43, 68, 22, 123,
+        120, 44, 65, 19, 121, 118, 45, 66, 23, 119, 116, 46, 69, 20, 117)
+
+
 def test_gadget_rank_normalization():
     g = build_gadget(parse_dimacs(F3))
     # the permutations are the patterns of the rational value sequences
@@ -180,19 +204,33 @@ def test_gadget_assertions_catch_cross_clause_regressions(monkeypatch):
     monkeypatch.setattr(sat, "_assert_gadget_constraints", lambda *args: seen.append(args))
     build_gadget(f)
     monkeypatch.undo()
-    _, u, t, fv, _, _ = seen[0]
+    _, u, t, fv, _, text = seen[0]
     sat._assert_gadget_constraints(*seen[0])
-    # each value stays inside its interval and in order within its slot but
-    # falls just below the largest earlier value it must exceed: the last
-    # clause's u, x2's t in the last of its two slots, x2's f two clauses back
-    for values, key, bound, message in ((u, (3, 1), u[2, 1], "u not"),
-                                        (t, (2, 1, 1), t[1, 3, 4], "t not"),
-                                        (fv, (3, 3, 1), fv[2, 3, 3], "f not")):
-        tampered = dict(values)
-        tampered[key] = bound - Fraction(1, 10 ** 6)
+    below = Fraction(1, 10 ** 6)
+    # each row changes one entry and trips one refusal. The first six: a
+    # short text, x1's u, t and f in slot 1 of clause 1 on an edge of their
+    # open intervals (1, 4), (1, 8) and (2, 7), and a tie inside t and f.
+    # The last three stay inside their intervals and in order within their
+    # slot but fall just below the largest earlier value they must exceed:
+    # the last clause's u, x2's t in the last of its two slots, x2's f two
+    # clauses back.
+    for values, key, value, message in (
+            (text, slice(-1, None), [], r"^gadget block lengths are wrong$"),
+            (u, (1, 1), 4, r"^u\[1,1\] outside its interval$"),
+            (t, (1, 1, 1), 1, r"^t\[1,1,1\] outside its interval$"),
+            (fv, (1, 1, 3), 7, r"^f\[1,1,3\] outside its interval$"),
+            (t, (1, 1, 3), t[1, 1, 2], r"^t values out of order at \(1,1\)$"),
+            (fv, (1, 1, 2), fv[1, 1, 1], r"^f values out of order at \(1,1\)$"),
+            (u, (3, 1), u[2, 1] - below, "u not"),
+            (t, (2, 1, 1), t[1, 3, 4] - below, "t not"),
+            (fv, (3, 3, 1), fv[2, 3, 3] - below, "f not")):
+        tampered = values.copy()
+        tampered[key] = value
         args = [tampered if arg is values else arg for arg in seen[0]]
         with pytest.raises(ConstraintError, match=message):
             sat._assert_gadget_constraints(*args)
+    with pytest.raises(ConstraintError, match=r"^gadget values are not distinct$"):
+        sat._rank_normalize([1, 1])
 
 
 # --- satisfiability oracle --------------------------------------------------
@@ -205,7 +243,7 @@ def test_count_satisfying_examples():
 
 def test_count_satisfying_budget():
     f = Cnf3(21, (((1, True), (2, True), (3, True)),))
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError, match=r"^n = 21 exceeds the #SAT oracle budget of 20 variables$"):
         count_satisfying(f)
 
 
