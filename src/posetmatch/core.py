@@ -198,12 +198,12 @@ def _permutation_encoding(Q):
 
 
 def restrict(P, subset):
-    """Induced subposet on `subset`, relabeled 1..|subset| in natural order."""
+    """Induced subposet on `subset`, relabeled 1..|subset| in natural order; P itself for all of P."""
     elems = sorted(set(subset))
     for x in elems:
         if not 1 <= x <= P.n:
             raise RangeError("element %r outside 1..%d" % (x, P.n))
-    return _collapse(P, [(x,) for x in elems])
+    return P if len(elems) == P.n else _collapse(P, [(x,) for x in elems])
 
 
 def _collapse(P, blocks):

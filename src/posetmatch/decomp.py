@@ -4,10 +4,12 @@ The decomposition follows Gallai's trichotomy: a poset on two or more
 elements is parallel when its comparability graph is disconnected, series
 when the complement is disconnected, and prime otherwise, in which case
 the maximal proper strong modules partition the ground set.  These
-classes come from one vertex partition refinement into the maximal
-modules avoiding the least element x (Ehrenfeucht, Gabow, McConnell and
-Sullivan 1994): each such module is a class or lies in x's class.  One
-closure grows both the graph components and the minimal modules.
+classes come from two vertex partition refinements (Ehrenfeucht, Gabow,
+McConnell and Sullivan 1994): each maximal module avoiding the least
+element x is a class or lies in x's class.  x's class absorbs them in
+turn by minimal modules until one fills the node, which makes that part a
+class C_y, and x's class is x's maximal module avoiding y.  One closure
+grows both the graph components and the minimal modules.
 """
 
 from dataclasses import dataclass
@@ -121,6 +123,29 @@ def _min_module(P, seed_mask, scope_mask):
     return _close(seed_mask, scope_mask, lambda t: (up[t] ^ up[s]) | (down[t] ^ down[s]))
 
 
+def _modules_avoiding(P, scope, vbit):
+    """The scope's maximal modules avoiding vbit, by least element: a splitter z cuts each
+    part of scope - vbit without z into its members above, below and incomparable to z,
+    and the members of a part that splits are splitters again."""
+    open_parts, done = [scope & ~vbit], []  # parts of two or more, singletons
+    splitters = scope
+    while splitters and open_parts:
+        z = (splitters & -splitters).bit_length() - 1
+        splitters &= splitters - 1
+        cut = []
+        for part in open_parts:
+            up, down = part & P.up[z], part & P.down[z]
+            if part >> z & 1 or part in (up, down) or not up | down:
+                cut.append(part)
+                continue
+            splitters |= part
+            for p in (up, down, part & ~(up | down)):
+                if p:
+                    (cut if p & (p - 1) else done).append(p)
+        open_parts = cut
+    return sorted(open_parts + done, key=lambda m: m & -m)
+
+
 def _split(P, scope):
     """Gallai's trichotomy on a nonempty bitmask: the node kind, the
     children's bitmasks in GallaiTree child order, and the quotient on
@@ -139,32 +164,20 @@ def _split(P, scope):
         cocomps.sort(key=lambda m: (P.down[(m & -m).bit_length() - 1] & scope).bit_count())
         return "series", cocomps, None
 
-    # Prime: refine scope - {x}, x its least element, into its maximal
-    # modules avoiding x.  A splitter z cuts each part without z into its
-    # members above, below and incomparable to z; the members of a part
-    # that splits are splitters again.  Every proper module lies in one
-    # class, so a part outside x's class is a whole class, and a part joins
-    # x's class iff the minimal module holding it and x is proper.
+    # Prime: every proper module lies in one class, so each maximal module
+    # avoiding the least element x outside x's class is a class.  Walking
+    # them, x's class so far grows to its minimal module with each part
+    # while that is proper; the first part whose module fills the scope is
+    # a class C_y, and x's class is x's maximal module avoiding y.
     xbit = scope & -scope
-    open_parts, done = [scope & ~xbit], []  # parts of two or more, singletons
-    splitters = scope
-    while splitters and open_parts:
-        z = (splitters & -splitters).bit_length() - 1
-        splitters &= splitters - 1
-        cut = []
-        for part in open_parts:
-            up, down = part & P.up[z], part & P.down[z]
-            pieces = [part] if part >> z & 1 else [p for p in (up, down, part & ~(up | down)) if p]
-            if len(pieces) > 1:
-                splitters |= part
-            for p in pieces:
-                (cut if p & (p - 1) else done).append(p)
-        open_parts = cut
-    parts = sorted(open_parts + done, key=lambda m: m & -m)
+    parts = _modules_avoiding(P, scope, xbit)
     cls = xbit
     for part in parts:
-        if _min_module(P, xbit | part, scope) != scope:
-            cls |= part
+        if not part & cls:
+            cls = _min_module(P, cls | part, scope)
+            if cls == scope:
+                cls = next(p for p in _modules_avoiding(P, scope, part & -part) if p & xbit)
+                break
     classes = [cls] + [part for part in parts if not part & cls]
     if len(classes) < 4:
         raise ConstraintError("prime node with %d children" % len(classes))

@@ -191,7 +191,8 @@ def count_linear_extensions(P, node_budget=DEFAULT_NODE_BUDGET):
     rest of an extension, so e(node) is the product over children times a
     shuffle factor: 1 for series nodes, the multinomial of child sizes for
     parallel nodes, and for prime nodes the extension count of the
-    quotient with each element inflated to a chain of the child's size.
+    quotient with each element inflated to a chain of the child's size;
+    a prime whose children are all leaves is swept on its quotient as is.
     The empty poset has one (empty) extension.  node_budget, which must be
     >= 0, bounds each prime quotient's sweep as in count_le_downset_dp.
     """
@@ -209,7 +210,8 @@ def count_linear_extensions(P, node_budget=DEFAULT_NODE_BUDGET):
             return total
         if node.kind == "parallel":
             return total * _multinomial(sizes)
-        return total * count_le_downset_dp(inflate(node.quotient, sizes), node_budget)
+        leaves = len(sizes) == len(node.elements)
+        return total * count_le_downset_dp(node.quotient if leaves else inflate(node.quotient, sizes), node_budget)
 
     return fold_tree(gallai_tree(P), fold)
 

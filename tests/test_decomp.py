@@ -212,6 +212,55 @@ def test_prime_class_search_makes_linear_min_module_calls(rng, monkeypatch):
     assert 0 < len(calls) <= 60
 
 
+def test_prime_class_search_absorbs_parts_until_one_fills_the_node(rng, monkeypatch):
+    # relabeled, the least element x may sit inside any block, so that its
+    # class splits into several parts; a part met before the first outside
+    # class is absorbed by a proper minimal module, and one outside ends
+    # the search
+    outcomes = []
+    counted = decomp._min_module
+
+    def recorded(P, seed, scope):
+        module = counted(P, seed, scope)
+        outcomes.append(module == scope)
+        return module
+
+    monkeypatch.setattr(decomp, "_min_module", recorded)
+    absorbed = 0
+    for img in ([2, 4, 1, 3], [2, 5, 3, 1, 4]):
+        Q = poset_from_permutation(Permutation(img))
+        for _ in range(40):
+            blocks = [rng.choice((chain, antichain))(rng.randint(1, 3)) for _ in img]
+            blocks[0] = chain(rng.randint(3, 5))
+            P = relabel(rng, substitute(Q, blocks))
+            outcomes.clear()
+            root = gallai_tree(P)
+            assert root.kind == "prime" and len(root.children) == len(img)
+            assert outcomes.count(True) == 1 and outcomes[-1]
+            assert len(outcomes) <= len(root.children[0].elements)
+            absorbed += len(outcomes) - 1
+            assert_matches_pairwise(P)
+    assert absorbed > 0
+
+
+def test_prime_class_search_makes_at_most_class_size_plus_one_min_module_calls(rng, monkeypatch):
+    # one closure per part of the refinement would make about n calls on a
+    # prime D(sigma); x's class absorbs parts until one fills the node
+    calls = []
+    counted = decomp._min_module
+    monkeypatch.setattr(decomp, "_min_module", lambda *args: calls.append(1) or counted(*args))
+    img = list(range(1, 61))
+    while True:
+        rng.shuffle(img)
+        P = poset_from_permutation(Permutation(img))
+        calls.clear()
+        root = gallai_tree(P)
+        if root.kind == "prime":
+            break
+    primes = [node for node in root.nodes() if node.kind == "prime"]
+    assert 0 < len(calls) <= sum(len(node.children[0].elements) + 1 for node in primes)
+
+
 def test_quotient_examples():
     assert quotient(chain(4), [{1, 2}, {3, 4}]) == chain(2)
     assert quotient(antichain(4), [{1, 2}, {3, 4}]) == antichain(2)
@@ -243,6 +292,16 @@ def test_dilworth_properties(rng):
             seen.update(seq)
         assert seen == set(range(1, P.n + 1))
         assert len(cd.chains) == brute_width(P) == width(P)
+    # every D(sigma) with n <= 6, as is and relabeled, so that the labels
+    # need not be a linear extension
+    for n in range(1, 7):
+        for img in itertools.permutations(range(1, n + 1)):
+            D = poset_from_permutation(Permutation(img))
+            for P in (D, relabel(rng, D)):
+                cd = dilworth(P)
+                assert sorted(x for seq in cd.chains for x in seq) == list(range(1, n + 1))
+                assert all(P.less(a, b) for seq in cd.chains for a, b in zip(seq, seq[1:]))
+                assert len(cd.chains) == brute_width(P)
 
 
 def test_intrinsic_width_examples():

@@ -32,6 +32,8 @@ from posetmatch import (
 from posetmatch.errors import MemoryBudgetError, RangeError, SizeLimitError
 from posetmatch.lecount import DEFAULT_NODE_BUDGET, _sweep, count_automorphisms_bruteforce, count_le_bruteforce
 
+from posetmatch import core, lecount
+
 from conftest import random_poset, relabel
 
 
@@ -249,6 +251,21 @@ def test_le_downset_budget_is_exact_on_band_primes():
             over = r"^down-sets over %d chains exceed node budget %d$" % (width(R), real - 1)
             with pytest.raises(MemoryBudgetError, match=over):
                 engine(P, node_budget=real - 1)
+
+
+def test_leaf_only_primes_are_swept_as_is(monkeypatch):
+    # restrict of every element is P itself, so a prime whose children are
+    # all leaves builds no quotient and inflates nothing
+    calls = []
+    for module, name in ((lecount, "inflate"), (core, "_collapse")):
+        monkeypatch.setattr(module, name, lambda *args, f=getattr(module, name): calls.append(f) or f(*args))
+    for P in (band_prime(random.Random("band/0"), 5, 8), poset_from_permutation(Permutation([2, 4, 1, 3]))):
+        tree = gallai_tree(P)
+        assert tree.kind == "prime" and all(child.kind == "leaf" for child in tree.children)
+        assert count_linear_extensions(P) == count_le_downset_dp(P)
+        assert calls == []
+        whole = restrict(P, range(1, P.n + 1))
+        assert whole == P and whole is P
 
 
 def test_lanes_hold_the_full_count(rng):
