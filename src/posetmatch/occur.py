@@ -13,7 +13,7 @@ incomparable ones in induced searches where those are the scarcer kind,
 and leave the last two elements unsearched: the third-to-last loops
 over its own images, with no call per image, and for each adds the
 pairs of the last two by a popcount per candidate of the second-to-last,
-or, when it has many candidates for the text's size, by one big-int step.
+or, where they are many, by meeting the image's pair table with the node's.
 
 Unlabeled occurrences are orbits under precomposition with Aut(P).  A
 labeled count is one search, and an unlabeled injective count two:
@@ -82,15 +82,19 @@ def _count_maps(P, Q, induced, injective, deadline=None, visit=None):
     a pattern of two or more elements reaches no leaf.  The node that
     places the third-to-last element (the root when k = 3) loops over its
     images itself: each narrows the last two sets, and the second-to-last
-    adds, over its candidates x, the size of what x's rows leave of the
-    last one's set.  With more candidates than n**3 >> 17 (the two
-    multiplies cost about n**3), that sum is one big-int step: each text
-    element's rows are stacked at stride n + 1, and the candidates,
-    copied to their blocks, pick the blocks to meet.  A two-element
-    pattern sums its pairs at the root.  The deadline is checked on
-    crossing each multiple of 4,096 steps: a node is one, and so is each
-    image the third-to-last tries and each candidate it leaves to the
-    second-to-last.
+    adds, over its candidates y, the size of what y's rows leave of the
+    last one's set: by a popcount per candidate, or by one big-int AND of
+    image x's table of allowed pairs, built once per search, with the
+    node's pairs, both with the rows stacked at stride n + 1.  A pair set
+    costs n**3 >> 17 popcounts to form (cutoff) and n**2 >> 12 to meet
+    (share), so a node turns to the tables once its images' candidates
+    past share add up to 2 * cutoff, at once for n <= 50, and the root
+    (k = 3), which meets each image once, forms one for an image with
+    more than cutoff; none past n = 362.  A two-element pattern sums its
+    pairs at the root.  The deadline is checked on crossing each multiple
+    of 4,096 steps: a node is one, and so is each image the third-to-last
+    tries and each candidate it sums one by one; the at most n tables of
+    a search count none.
     """
     k, n = P.n, Q.n
     # one frame per pattern element, and 100 left for the callers
@@ -115,6 +119,7 @@ def _count_maps(P, Q, induced, injective, deadline=None, visit=None):
              for i, v in enumerate(order)]
     assignment = [0] * k
     cutoff = n ** 3 >> 17
+    share = n * n >> 12 if cutoff < n else cutoff
     if visit is None and k >= 2:
         # ends[x]: what the second-to-last at x leaves to the last; near[x], far[x]: what the
         # third-to-last at x leaves to the last two (k >= 3); None marks an unconstrained pair
@@ -128,6 +133,7 @@ def _count_maps(P, Q, induced, injective, deadline=None, visit=None):
             stacked = sum(row << (n + 1) * x for x, row in enumerate(ends))
             spread = ((1 << n * n) - 1) // ((1 << n) - 1)
             diagonal = ((1 << n * (n + 1)) - 1) // ((1 << n + 1) - 1)
+            tables = [None] * n  # x's pairs (y, z), y in near[x] and z in far[x] & ends[y], at bit (n + 1) * y + z
 
     def extend(i, used, cands):
         nonlocal count, nodes
@@ -146,7 +152,8 @@ def _count_maps(P, Q, induced, injective, deadline=None, visit=None):
             # the third-to-last loops over its own images x; c and rest are
             # what x leaves of the last two sets
             before, after = (cands[last - 1] & ~used, cands[last] & ~used) if injective else cands[last - 1:]
-            while cand:
+            spare, least = (2 * cutoff, share) if i else (1, cutoff)
+            while cand and spare > 0:
                 x = (cand & -cand).bit_length() - 1
                 cand &= cand - 1
                 c, rest = before & near[x], after & far[x]
@@ -156,12 +163,25 @@ def _count_maps(P, Q, induced, injective, deadline=None, visit=None):
                     _check(deadline, "occurrence count")
                 if not rest:
                     continue
-                if size > cutoff:
-                    count += (stacked & (c * spread & diagonal) * rest).bit_count()
-                    continue
+                if size > least:
+                    if not i:  # the root meets each image once
+                        count += (stacked & (c * spread & diagonal) * rest).bit_count()
+                        continue
+                    spare -= size - least
                 while c:
                     count += (rest & ends[(c & -c).bit_length() - 1]).bit_count()
                     c &= c - 1
+            if cand:  # the images left meet their tables with the node's pairs
+                pairs, steps = (before * spread & diagonal) * after, cand.bit_count()
+                nodes += steps
+                if deadline is not None and nodes % 4096 < steps:
+                    _check(deadline, "occurrence count")
+                while cand:
+                    x = (cand & -cand).bit_length() - 1
+                    cand &= cand - 1
+                    if tables[x] is None:
+                        tables[x] = stacked & (near[x] * spread & diagonal) * far[x]
+                    count += (tables[x] & pairs).bit_count()
             return
         v, ahead = order[i], links[i]
         while cand:
@@ -274,8 +294,9 @@ def count_occurrences(P, Q, flavor, deadline=None):
     deadline covers every search and is checked as each starts and every
     4,096 steps of it: a step is a search node, an image of the
     third-to-last pattern element or a candidate it leaves to the
-    second-to-last.  An injective flavor with more pattern than text
-    elements gives 0 by pigeonhole, before any search.
+    second-to-last to be summed one by one, not through its pair table.
+    An injective flavor with more pattern than text elements gives 0 by
+    pigeonhole, before any search.
     """
     if flavor.injective and P.n > Q.n:
         return 0

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from collections import Counter
 from math import comb, factorial
 
 import pytest
@@ -20,7 +21,7 @@ from posetmatch import (
     poset_from_relations,
 )
 from posetmatch.errors import RangeError, SizeError, SizeLimitError, TimeoutError
-from posetmatch.lecount import count_automorphisms_bruteforce, count_le_bruteforce
+from posetmatch.lecount import canonical_code, count_automorphisms_bruteforce, count_le_bruteforce
 from posetmatch import occur
 from posetmatch.occur import _search_order, automorphism_maps
 
@@ -200,11 +201,12 @@ def test_unlabeled_count_honours_a_passed_deadline(monkeypatch):
         assert len(calls) == 1
 
 
-@pytest.mark.parametrize("k, n", [(3, 2000), (4, 400)])
+@pytest.mark.parametrize("k, n", [(3, 2000), (4, 400), (4, 300)])
 def test_count_deadline_bounds_work_that_grows_with_the_text(k, n):
-    # both searches have fewer than 4,096 nodes, but the third-to-last
+    # every search has fewer than 4,096 nodes, but the third-to-last
     # element tries about n images and, for each, sums over about n
-    # candidates of the second-to-last; the deadline counts those steps
+    # candidates of the second-to-last; the deadline counts those steps,
+    # also at k = 4 and n = 300, where the sums run on pair tables
     start = time.monotonic()
     with pytest.raises(TimeoutError):
         count_occurrences(antichain(k), antichain(n), OccurrenceFlavor(False, True, False),
@@ -452,6 +454,45 @@ def test_match_agrees_with_occurrences(rng):
                        for order in itertools.permutations(index_set))
             )
             assert match_permutation(sigma_p, sigma_q, True) == scan
+
+
+def test_multi_level_induced_matches_agree_with_an_index_set_scan(rng):
+    # k = 5 and 6 place two or three elements before the third-to-last, so
+    # its images recur from node to node and, in texts of n <= 50, are
+    # counted on their pair tables; the scan counts the index sets I of tau
+    # whose pattern presents a poset isomorphic to D(sigma)
+    def simple(img):
+        n = len(img)
+        return not any(max(img[a:b]) - min(img[a:b]) == b - a - 1
+                       for a in range(n) for b in range(a + 2, n + 1) if b - a < n)
+
+    patterns = [img for img in itertools.permutations(range(1, 6)) if simple(img)]
+    assert len(patterns) == 6
+    while len(patterns) < 8:
+        if simple(img := tuple(rng.sample(range(1, 7), 6))):
+            patterns.append(img)
+    codes = {}
+
+    def code(img):
+        if img not in codes:
+            codes[img] = canonical_code(Permutation(img))
+        return codes[img]
+
+    total = 0
+    for n in (14, 15, 16):
+        tau = rng.sample(range(1, n + 1), n)
+        Q = poset_from_permutation(Permutation(tau))
+        shapes = {k: Counter(tuple(sorted(values).index(v) + 1 for v in values)
+                             for values in itertools.combinations(tau, k)) for k in (5, 6)}
+        for sigma in patterns:
+            expected = sum(m for img, m in shapes[len(sigma)].items() if code(img) == code(sigma))
+            assert match_permutation(Permutation(sigma), Permutation(tau), True) == expected, (sigma, tau)
+            total += expected
+            P = poset_from_permutation(Permutation(sigma))
+            unlabeled = count_occurrences(P, Q, OccurrenceFlavor(False, True, True))
+            labeled = count_occurrences(P, Q, OccurrenceFlavor(False, True, False))
+            assert unlabeled * len(automorphism_maps(P)) == labeled, (sigma, tau)
+    assert total > 0
 
 
 def test_chain_occurrences_examples(rng):
