@@ -278,6 +278,14 @@ def _lines(text, comment):
             yield lineno, line.split()
 
 
+def _ints(fields, message, *args):
+    """The fields as ints; FormatError(message % args) if one is not an integer."""
+    try:
+        return [int(field) for field in fields]
+    except ValueError:
+        raise FormatError(message % args)
+
+
 def parse_poset(text):
     n = None
     pairs = []
@@ -287,10 +295,7 @@ def parse_poset(text):
                 raise FormatError("line %d: duplicate p line" % lineno)
             if len(parts) != 2:
                 raise FormatError("line %d: expected 'p <n>'" % lineno)
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise FormatError("line %d: bad count %r" % (lineno, parts[1]))
+            n, = _ints(parts[1:], "line %d: bad count %r", lineno, parts[1])
             if n < 0:
                 raise FormatError("line %d: negative count" % lineno)
             if n > sys.maxsize:
@@ -300,11 +305,7 @@ def parse_poset(text):
                 raise FormatError("line %d: 'r' before 'p'" % lineno)
             if len(parts) != 3:
                 raise FormatError("line %d: expected 'r <a> <b>'" % lineno)
-            try:
-                a, b = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise FormatError("line %d: bad relation" % lineno)
-            pairs.append((a, b))
+            pairs.append(tuple(_ints(parts[1:], "line %d: bad relation", lineno)))
         else:
             raise FormatError("line %d: unknown directive %r" % (lineno, parts[0]))
     if n is None:
@@ -323,11 +324,7 @@ def parse_permutation(text):
     parts = text.split()
     if not parts:
         raise FormatError("empty permutation")
-    try:
-        img = [int(p) for p in parts]
-    except ValueError:
-        raise FormatError("non-integer entry in permutation")
-    return Permutation(img)
+    return Permutation(_ints(parts, "non-integer entry in permutation"))
 
 
 def format_permutation(sigma):

@@ -12,17 +12,17 @@ with the most constraints to those placed, counting related pairs, or
 incomparable ones in induced searches where those are the scarcer kind,
 and leave the last two elements unsearched: the third-to-last loops
 over its own images, with no call per image, and for each adds the
-pairs of the last two by a popcount per candidate of the second-to-last,
-or, where they are many, by meeting the image's pair table with the node's.
+pairs of the last two by a popcount per candidate of the second-to-last
+or by meeting its pair table with the node's (_count_maps has the rule).
 
 Unlabeled occurrences are orbits under precomposition with Aut(P).  A
 labeled count is one search, and an unlabeled injective count two:
 |Aut(P)|, then the text, since only the identity fixes an injective
-map.  Only unlabeled non-injective counts list Aut(P), for Burnside's
-lemma: the maps f with f∘g = f for an automorphism g are the occurrences
-of the fold P/<g>, one element per cycle of g, so the backtracker counts
-one labeled poset per distinct fold.  The orbit-minimum leaf filter
-serves enumeration only.
+map.  Only unlabeled non-injective counts walk Aut(P), tallying it by
+cycle class for Burnside's lemma: the maps f with f∘g = f for an
+automorphism g are the occurrences of the fold P/<g>, one element per
+cycle of g, so the backtracker counts one labeled poset per distinct
+fold.  The orbit-minimum leaf filter serves enumeration only.
 """
 
 import sys
@@ -78,23 +78,23 @@ def _count_maps(P, Q, induced, injective, deadline=None, visit=None):
     order and candidates lowest element first, so leaves are reached in
     lexicographic order of assignment vectors; visit is called with the
     assignment at every leaf, and the leaf counts only if it returns a
-    true value.  Otherwise the order is fixed once by _search_order, and
-    a pattern of two or more elements reaches no leaf.  The node that
-    places the third-to-last element (the root when k = 3) loops over its
-    images itself: each narrows the last two sets, and the second-to-last
-    adds, over its candidates y, the size of what y's rows leave of the
-    last one's set: by a popcount per candidate, or by one big-int AND of
-    image x's table of allowed pairs, built once per search, with the
-    node's pairs, both with the rows stacked at stride n + 1.  A pair set
-    costs n**3 >> 17 popcounts to form (cutoff) and n**2 >> 12 to meet
-    (share), so a node turns to the tables once its images' candidates
-    past share add up to 2 * cutoff, at once for n <= 50, and the root
-    (k = 3), which meets each image once, forms one for an image with
-    more than cutoff; none past n = 362.  A two-element pattern sums its
-    pairs at the root.  The deadline is checked on crossing each multiple
-    of 4,096 steps: a node is one, and so is each image the third-to-last
-    tries and each candidate it sums one by one; the at most n tables of
-    a search count none.
+    true value.  A count of k < 3 elements is closed without a search.
+    A longer one fixes its order once by _search_order and ends, with no
+    leaf, at the node of the third-to-last element (the root when k = 3),
+    which loops over its images x itself: each narrows the last two
+    sets, and the second-to-last adds, over its candidates y, the size of
+    what y's rows leave of the last one's set: by a popcount per
+    candidate, or by one big-int AND of x's table of allowed pairs, built
+    once per search, with the node's pairs, both with the rows stacked at
+    stride n + 1.  A pair set costs n**3 >> 17 popcounts to form (cutoff)
+    and n**2 >> 12 to meet (share), so a node turns to the tables once
+    its images' candidates past share add up to 2 * cutoff, at once for
+    n <= 50, and the root (k = 3), which meets each image once, forms one
+    for an image with more than cutoff; none past n = 362.  The deadline
+    is checked once before a closed form, and in a search on crossing
+    each multiple of 4,096 steps: a node is one, and so is each image the
+    third-to-last tries and each candidate it sums one by one; the at
+    most n tables of a search count none.
     """
     k, n = P.n, Q.n
     # one frame per pattern element, and 100 left for the callers
@@ -102,28 +102,29 @@ def _count_maps(P, Q, induced, injective, deadline=None, visit=None):
         raise errors.SizeLimitError("a %d-element pattern is too deep for the recursion limit of %d"
                                     % (k, sys.getrecursionlimit()))
     full = (1 << n) - 1
-    # rows[x] holds x itself only for incomparable or unconstrained pairs
-    # of a non-injective search
+    # rows[x] holds x itself only for incomparable or unconstrained pairs of a non-injective search
     incomparable = [full & ~(Q.up[j] | Q.down[j] | injective << j) for j in range(n)] if induced else None
-    if visit is None:
-        # dense: the incomparable rows hold n * n - 2 * |up| bits, fewer than 2 * |up|
-        order = _search_order(P, induced and 3 * sum(map(int.bit_count, Q.up)) > n * n)
-        last = k - 1
-    else:
-        order, last = range(k), k + 2  # no closed-form tail: every leaf is visited
+    # dense: the incomparable rows hold n * n - 2 * |up| bits, fewer than 2 * |up|
+    order = range(k) if visit else _search_order(P, induced and 3 * sum(map(int.bit_count, Q.up)) > n * n)
     # links[i]: (j, rows) for each later j-th element that the i-th one constrains: the
     # image of order[j] lies in rows[image of order[i]], related to it as order[j] to order[i]
     kinds = (incomparable, Q.up, Q.down)
     links = [[(j, rows) for j in range(i + 1, k)
               if (rows := kinds[P.up[v] >> order[j] & 1 or 2 * (P.down[v] >> order[j] & 1)]) is not None]
              for i, v in enumerate(order)]
+    if visit is None and k < 3:  # closed forms: the empty map, one map per image, or the pairs
+        _check(deadline, "occurrence count")
+        if k < 2:
+            return n ** k
+        rows = dict(links[0]).get(1)  # None marks an unconstrained pair
+        return n * (n - injective) if rows is None else sum(map(int.bit_count, rows))
     assignment = [0] * k
     cutoff = n ** 3 >> 17
     share = n * n >> 12 if cutoff < n else cutoff
-    if visit is None and k >= 2:
+    if visit is None:
         # ends[x]: what the second-to-last at x leaves to the last; near[x], far[x]: what the
-        # third-to-last at x leaves to the last two (k >= 3); None marks an unconstrained pair
-        tail = [dict(links[i]).get(j) for i, j in ((last - 1, last), (last - 2, last - 1), (last - 2, last))]
+        # third-to-last at x leaves to the last two; None marks an unconstrained pair
+        tail = [dict(links[i]).get(j) for i, j in ((k - 2, k - 1), (k - 3, k - 2), (k - 3, k - 1))]
         anywhere = [full & ~(injective << x) for x in range(n)] if None in tail else None
         ends, near, far = (anywhere if rows is None else rows for rows in tail)
         if cutoff < n:
@@ -140,18 +141,14 @@ def _count_maps(P, Q, induced, injective, deadline=None, visit=None):
         nodes += 1
         if deadline is not None and nodes % 4096 == 0:
             _check(deadline, "occurrence count")
-        if i == k:
-            if visit is None or visit(assignment):
-                count += 1
+        if i == k:  # only visitors reach leaves, and count those they return true for
+            count += bool(visit(assignment))
             return
         cand = cands[i] & ~used if injective else cands[i]
-        if i == last - 1:  # only a two-element count gets here, at the root
-            count += sum(map(int.bit_count, ends))
-            return
-        if i == last - 2:
+        if i == k - 3 and visit is None:
             # the third-to-last loops over its own images x; c and rest are
             # what x leaves of the last two sets
-            before, after = (cands[last - 1] & ~used, cands[last] & ~used) if injective else cands[last - 1:]
+            before, after = (cands[k - 2] & ~used, cands[k - 1] & ~used) if injective else cands[k - 2:]
             spare, least = (2 * cutoff, share) if i else (1, cutoff)
             while cand and spare > 0:
                 x = (cand & -cand).bit_length() - 1
@@ -289,30 +286,33 @@ def count_occurrences(P, Q, flavor, deadline=None):
     precomposition with Aut(P), counted by Burnside's lemma: the sum over
     automorphisms g of the occurrences of the fold P/<g> (the maps f with
     f∘g = f, see _fold_cycles), divided by |Aut(P)|.  Non-injective ones
-    list Aut(P) and search once per distinct fold; an injective one, which
-    only the identity fixes, is two searches: |Aut(P)|, then the text.  The
-    deadline covers every search and is checked as each starts and every
-    4,096 steps of it: a step is a search node, an image of the
-    third-to-last pattern element or a candidate it leaves to the
-    second-to-last to be summed one by one, not through its pair table.
-    An injective flavor with more pattern than text elements gives 0 by
-    pigeonhole, before any search.
+    tally Aut(P) by cycle class, listing no member, and search once per
+    distinct fold; an injective one, which only the identity fixes, is
+    two searches: |Aut(P)|, then the text.  The deadline covers every
+    search and is checked as each starts and every 4,096 steps of it: a
+    step is a search node, an image of the third-to-last pattern element
+    or a candidate it leaves to the second-to-last to be summed one by
+    one, not through its pair table.  An injective flavor with more
+    pattern than text elements gives 0 by pigeonhole, before any search.
     """
     if flavor.injective and P.n > Q.n:
         return 0
     if flavor.unlabeled and not flavor.injective:
-        group = []  # Aut(P), listed as automorphism_maps does, under the deadline
-        _count_maps(P, P, True, True, deadline, lambda g: group.append(tuple(g)))
-        folds = Counter()
-        for leaders, weight in Counter(map(_cycle_leaders, group)).items():
-            if (fold := _fold_cycles(P, leaders, flavor.induced)) is not None:
-                folds[fold] += weight
-        order = len(group)
+        classes = Counter()  # Aut(P) by cycle class, tallied under the deadline
+
+        def tally(g):
+            classes[_cycle_leaders(g)] += 1
+
+        _count_maps(P, P, True, True, deadline, tally)
+        folds = Counter()  # None gathers the classes that no induced map is constant on
+        for leaders, weight in classes.items():
+            folds[_fold_cycles(P, leaders, flavor.induced)] += weight
+        order = classes.total()
     else:
         # f∘g = f forces f(v) = f(g(v)): an injective count needs |Aut(P)|, not Aut(P)
         folds, order = {P: 1}, _count_maps(P, P, True, True, deadline) if flavor.unlabeled else 1
     total = sum(weight * _count_maps(fold, Q, flavor.induced, flavor.injective, deadline)
-                for fold, weight in folds.items())
+                for fold, weight in folds.items() if fold is not None)
     if total % order:
         raise errors.ConstraintError("Burnside sum %d over %d automorphisms" % (total, order))
     return total // order

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import OccurrenceFlavor, Permutation, _lines, poset_from_permutation
+from .core import OccurrenceFlavor, Permutation, _ints, _lines, poset_from_permutation
 from .errors import (
     ArityError,
     ConstraintError,
@@ -96,19 +96,13 @@ def parse_dimacs(text):
                 raise FormatError("line %d: duplicate header" % lineno)
             if len(parts) != 4 or parts[1] != "cnf":
                 raise FormatError("line %d: expected 'p cnf <n> <m>'" % lineno)
-            try:
-                n, m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise FormatError("line %d: bad header counts" % lineno)
+            n, m = _ints(parts[2:], "line %d: bad header counts", lineno)
             if n < 0 or m < 0:
                 raise FormatError("line %d: negative count" % lineno)
         else:
             if n is None:
                 raise FormatError("line %d: clause before header" % lineno)
-            try:
-                lits = [int(p) for p in parts]
-            except ValueError:
-                raise FormatError("line %d: non-integer literal" % lineno)
+            lits = _ints(parts, "line %d: non-integer literal", lineno)
             if not lits or lits[-1] != 0:
                 raise FormatError("line %d: clause not terminated by 0" % lineno)
             lits = lits[:-1]

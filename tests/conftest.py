@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import sys
@@ -102,6 +103,25 @@ def brute_occurrences(P, Q, flavor):
                 continue
         out.append(assignment)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def poset_classes(n):
+    """One poset per isomorphism class on n elements, by brute force.  Each
+    class has a naturally labeled member (label by a linear extension), so
+    the subsets of the pairs a < b, closed, meet every class; the first met
+    of each canonical form, the least sorted relation list over all n!
+    relabelings, is kept."""
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    perms = list(itertools.permutations(range(1, n + 1)))
+    closed, found = set(), {}
+    for mask in range(1 << len(pairs)):
+        P = poset_from_relations(n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
+        if P not in closed:
+            closed.add(P)
+            code = min(sorted((perm[a - 1], perm[b - 1]) for a, b in P.relations()) for perm in perms)
+            found.setdefault(tuple(code), P)
+    return tuple(found.values())
 
 
 def structured_scan(f, P, Q):

@@ -1,6 +1,6 @@
 """The package's layering: helpers that modules share live in core or errors,
-the only import from outside the standard library is the tests' pytest, and
-the package republishes each module's __all__."""
+the only import from outside the standard library is the tests' pytest, the
+package republishes each module's __all__, and it holds no assert statement."""
 
 import ast
 import importlib
@@ -79,3 +79,11 @@ def test_package_exports_each_modules_all_once():
     assert len(every) == len(set(every)), sorted(x for x in set(every) if every.count(x) > 1)
     # plus the submodules themselves, errors among them since the others import it
     assert sorted(posetmatch.__all__) == sorted(every + list(MODULES) + ["errors"])
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so a check the package relies on
+    # must raise its own error
+    bad = ["%s:%d" % (path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
+           for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(node, ast.Assert)]
+    assert not bad, bad

@@ -34,7 +34,7 @@ from posetmatch.lecount import DEFAULT_NODE_BUDGET, _sweep, count_automorphisms_
 
 from posetmatch import core, lecount
 
-from conftest import random_poset, relabel
+from conftest import poset_classes, random_poset, relabel
 
 
 def brute_downsets(P):
@@ -133,6 +133,15 @@ def test_le_engines_agree(rng):
         for R in (P, relabel(rng, P)):
             assert count_le_downset_dp(R) == expected
             assert count_linear_extensions(R) == expected
+
+
+def test_le_engines_agree_on_every_poset_class_up_to_five_elements():
+    # the 1, 1, 2, 5, 16 and 63 classes on 0-5 elements
+    assert len(poset_classes(5)) == 63
+    for P in (P for n in range(6) for P in poset_classes(n)):
+        expected = count_le_bruteforce(P)
+        assert count_le_downset_dp(P) == expected, P
+        assert count_linear_extensions(P) == expected, P
 
 
 def test_le_disjoint_chains_closed_form():

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 from collections import Counter
 from math import comb, factorial
 
@@ -25,7 +26,7 @@ from posetmatch.lecount import canonical_code, count_automorphisms_bruteforce, c
 from posetmatch import occur
 from posetmatch.occur import _search_order, automorphism_maps
 
-from conftest import brute_automorphisms, brute_occurrences, random_poset, relabel
+from conftest import brute_automorphisms, brute_occurrences, poset_classes, random_poset, relabel
 
 ALL_FLAVORS = [OccurrenceFlavor(bool(i), bool(j), bool(u))
                for i in (0, 1) for j in (0, 1) for u in (0, 1)]
@@ -253,6 +254,19 @@ def test_unlabeled_count_runs_one_search_per_distinct_fold(monkeypatch):
     assert len(calls) == 9
 
 
+def test_unlabeled_non_injective_count_holds_no_list_of_automorphisms():
+    # Aut(antichain(7)) has 5,040 members but only 877 cycle classes (set
+    # partitions of 7), so a count that tallies classes as the search meets
+    # them stays well under what a list of the members takes (0.62 MB)
+    tracemalloc.start()
+    try:
+        assert count_occurrences(antichain(7), antichain(2), OccurrenceFlavor(False, False, True)) == 8
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 300_000, peak
+
+
 def test_unlabeled_injective_count_does_not_list_automorphisms(monkeypatch):
     # only the identity fixes an injective map, so |Aut(P)| is counted, not listed
     monkeypatch.setattr(occur, "automorphism_maps", lambda P: pytest.fail("Aut(P) listed"))
@@ -303,6 +317,22 @@ def test_counts_match_oracle_when_cycles_are_not_modules(rng):
                     (P2, Q, flavor)
 
 
+def test_every_poset_class_up_to_four_elements_agrees_with_the_oracle():
+    # each of the 25 classes on 0-4 elements as pattern and as text, in
+    # every flavor, naturally labeled and relabeled: all closed forms of
+    # k < 3, every Aut(P) tally and every tail of three or four elements
+    assert [len(poset_classes(n)) for n in range(5)] == [1, 1, 2, 5, 16]
+    classes = [P for n in range(5) for P in poset_classes(n)]
+    rng = random.Random(13)
+    for P in classes:
+        for Q in classes:
+            P2, Q2 = relabel(rng, P), relabel(rng, Q)
+            for flavor in ALL_FLAVORS:
+                expected = len(brute_occurrences(P, Q, flavor))
+                assert count_occurrences(P, Q, flavor) == expected, (P, Q, flavor)
+                assert count_occurrences(P2, Q2, flavor) == expected, (P2, Q2, flavor)
+
+
 @pytest.mark.parametrize("flavor", ALL_FLAVORS)
 def test_degenerate_sizes(flavor):
     # the empty pattern has one occurrence, the empty map, in every text;
@@ -317,6 +347,32 @@ def test_degenerate_sizes(flavor):
     for P in (chain(2), antichain(2), N_POSET):
         assert count_occurrences(P, empty, flavor) == 0
         assert enumerate_occurrences(P, empty, flavor) == []
+
+
+def test_counts_of_fewer_than_three_elements_match_the_rows():
+    # counts of k < 3 elements are closed without a search; here they meet
+    # counts taken from the text's rows: r related and i incomparable
+    # ordered pairs of distinct elements, and n elements
+    rng = random.Random(29)
+    texts = [T for n in (40, 300, 2000) for T in
+             (chain(n), antichain(n), poset_from_permutation(Permutation(rng.sample(range(1, n + 1), n))))]
+    texts += [random_poset(rng, n, 0.1) for n in (40, 300)]
+    for Q in texts:
+        n = Q.n
+        r = sum(map(int.bit_count, Q.up))
+        i = n * (n - 1) - 2 * r
+        for flavor in ALL_FLAVORS:
+            # antichain(2) maps to ordered pairs, incomparable ones if induced, and
+            # to the n equal pairs if not injective; unlabeled counts are orbits
+            # under the swap, which fixes just the equal pairs
+            fixed = 0 if flavor.injective else n
+            pairs = (i if flavor.induced else n * (n - 1)) + fixed
+            expected = {antichain(0): 1, chain(1): n, chain(2): r,
+                        antichain(2): (pairs + fixed) // 2 if flavor.unlabeled else pairs}
+            for P, count in expected.items():
+                assert count_occurrences(P, Q, flavor) == count, (P, n, flavor)
+                with pytest.raises(TimeoutError):
+                    count_occurrences(P, Q, flavor, deadline=time.monotonic() - 1)
 
 
 def test_enumeration_and_automorphisms_come_in_lexicographic_order(rng):
