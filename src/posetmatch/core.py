@@ -58,8 +58,22 @@ class Poset:
         return [(i + 1, j + 1) for i, row in enumerate(self.up) for j in _bits(row)]
 
     def cover_pairs(self):
-        """Pairs (a, b) where b covers a (no element strictly between)."""
-        return [(i + 1, j + 1) for i, row in enumerate(self.up) for j in _bits(row) if not row & self.down[j]]
+        """Pairs (a, b) where b covers a (no element strictly between), by a.
+
+        A row's covers are the row minus the union of its members' up rows.
+        The walk takes the members lowest label first and skips every member
+        already inside a row taken, as poset_from_relations does: at most
+        one row taken per relation, and under natural labels one per cover.
+        """
+        up, pairs = self.up, []
+        for i, row in enumerate(up):
+            m = covers = row
+            while m:
+                r = up[(m & -m).bit_length() - 1]
+                covers &= ~r
+                m &= ~r & (m - 1)
+            pairs += [(i + 1, j + 1) for j in _bits(covers)]
+        return pairs
 
     def __eq__(self, other):
         return isinstance(other, Poset) and self.n == other.n and self.up == other.up
@@ -134,34 +148,91 @@ def _bits(mask):
 def poset_from_relations(n, pairs):
     """Transitive closure of the given strict relations on 1..n.
 
+    One pass reads the pairs into direct successor and predecessor rows.
+    The elements are then ordered sinks first (Kahn), and each up row is
+    closed as its element enters the order: it ORs in its direct
+    successors' closed rows, lowest label first, and skips every successor
+    already inside a row taken.  The down rows are the mirror pass, sources
+    first, taking predecessors highest label first.  That is O(n + |pairs|)
+    row ORs, and under natural labels the first row taken holds most of
+    the rest.
+
     Raises CycleError if the closure would relate an element to itself,
-    RangeError if a pair mentions an element outside 1..n.
+    naming the least element on a cycle, and RangeError if a pair mentions
+    an element outside 1..n.
     """
-    up = [0] * n
+    succ, pred = [0] * n, [0] * n
     for a, b in pairs:
         if not (1 <= a <= n and 1 <= b <= n):
             raise RangeError("relation (%d, %d) outside 1..%d" % (a, b, n))
         if a == b:
             raise CycleError("reflexive pair (%d, %d)" % (a, b))
-        up[a - 1] |= 1 << (b - 1)
-    # Warshall closure, one bitmask row at a time.
-    for k in range(n):
-        rowk = up[k]
-        if not rowk:
-            continue
-        bit = 1 << k
-        for i in range(n):
-            if up[i] & bit:
-                up[i] |= rowk
-    for i in range(n):
-        if up[i] & (1 << i):
+        succ[a - 1] |= 1 << (b - 1)
+        pred[b - 1] |= 1 << (a - 1)
+    # each row is closed in place: succ[i] when i enters the order, after
+    # all its successors, and pred[i] in the mirror pass after all its
+    # predecessors; a predecessor enters once its last successor has
+    left, order = [], []
+    for i, row in enumerate(succ):
+        count = row.bit_count()
+        left.append(count)
+        if not count:
+            order.append(i)
+    for i in order:
+        m = row = succ[i]
+        while m:
+            r = succ[(m & -m).bit_length() - 1]
+            row |= r
+            m &= ~r & (m - 1)
+        succ[i] = row
+        m = pred[i]
+        while m:
+            j = m.bit_length() - 1
+            count = left[j] - 1
+            left[j] = count
+            if not count:
+                order.append(j)
+            m ^= 1 << j
+    if len(order) < n:
+        _raise_cycle(succ, pred, left)
+    for i in reversed(order):
+        m = col = pred[i]
+        while m:
+            j = m.bit_length() - 1
+            r = pred[j]
+            col |= r
+            m &= ~(r | 1 << j)
+        pred[i] = col
+    return Poset(n, succ, pred)
+
+
+def _raise_cycle(succ, pred, left):
+    """CycleError naming the least element on a cycle.  Such an element
+    reaches a cycle, so the sinks-first order never took it (left > 0), and
+    a cycle reaches it, so the same order run from the sources over those
+    elements never takes it either.  A search from each element still left,
+    least first, finds the first that returns to itself.  The rows of the
+    elements taken are closed by now, the others' still direct."""
+    rest = sum(1 << i for i, count in enumerate(left) if count)
+    into = [(row & rest).bit_count() for row in pred]
+    order = [i for i in _bits(rest) if not into[i]]
+    for i in order:
+        rest ^= 1 << i
+        for j in _bits(succ[i] & rest):
+            into[j] -= 1
+            if not into[j]:
+                order.append(j)
+    for i in _bits(rest):
+        seen = frontier = succ[i] & rest
+        while frontier and not seen >> i & 1:
+            step = 0
+            for j in _bits(frontier):
+                step |= succ[j]
+            frontier = step & rest & ~seen
+            seen |= frontier
+        if seen >> i & 1:
             raise CycleError("closure creates a cycle through %d" % (i + 1))
-    down = [0] * n
-    for i, row in enumerate(up):
-        while row:
-            down[(row & -row).bit_length() - 1] |= 1 << i
-            row &= row - 1
-    return Poset(n, up, down)
+        rest ^= 1 << i
 
 
 def poset_from_permutation(sigma):

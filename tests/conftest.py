@@ -19,6 +19,23 @@ def random_poset(rng, n, prob=None):
     return poset_from_relations(n, pairs)
 
 
+def reference_closure(n, pairs):
+    """Warshall's closure of irreflexive pairs on 1..n: the up rows as a
+    tuple, or the least element lying on a cycle as an int."""
+    up = [0] * n
+    for a, b in pairs:
+        up[a - 1] |= 1 << (b - 1)
+    for k in range(n):
+        bit = 1 << k
+        for i in range(n):
+            if up[i] & bit:
+                up[i] |= up[k]
+    for i in range(n):
+        if up[i] >> i & 1:
+            return i + 1
+    return tuple(up)
+
+
 def relabel(rng, P):
     """P with its elements renamed by a seeded random permutation, so the
     labels need not be a linear extension."""

@@ -282,6 +282,21 @@ def test_gen_poset_deterministic():
     assert out1.startswith("p 6\n")
 
 
+GEN_POSET_30 = (
+    "1 3, 1 5, 1 8, 1 10, 1 16, 2 7, 2 8, 2 25, 3 17, 3 25, 4 5, 4 9, 5 11, 5 18, 6 9, 6 13, "
+    "7 13, 8 19, 8 27, 9 12, 10 12, 10 13, 11 20, 11 22, 11 25, 12 15, 13 23, 13 24, 13 26, "
+    "13 28, 14 16, 15 17, 15 20, 16 17, 17 18, 17 19, 17 22, 18 23, 18 26, 18 27, 18 28, "
+    "19 24, 19 26, 19 28, 20 21, 20 24, 21 30, 22 23, 22 24, 22 27, 22 28, 23 29, 25 28, "
+    "26 30, 27 29, 28 29, 28 30")
+
+
+def test_gen_poset_output_is_pinned():
+    # the cover relation of a seeded 30-element poset, line for line
+    code, out, err = invoke(["gen", "poset", "30", "0.2", "7"])
+    assert (code, err) == (0, "")
+    assert out == "p 30\n" + "".join("r %s\n" % pair for pair in GEN_POSET_30.split(", "))
+
+
 def test_gen_perm_deterministic():
     code1, out1, _ = invoke(["gen", "perm", "5", "3"])
     code2, out2, _ = invoke(["gen", "perm", "5", "3"])

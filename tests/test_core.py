@@ -25,7 +25,7 @@ from posetmatch.errors import CycleError, FormatError, RangeError
 from posetmatch.lecount import downset_lattice, inflate, lattice_as_poset
 from posetmatch.occur import _cycle_leaders, _fold_cycles, automorphism_maps
 
-from conftest import random_poset, relabel
+from conftest import poset_classes, random_poset, reference_closure, relabel
 
 
 def test_closure_adds_transitive_pair():
@@ -39,18 +39,75 @@ def test_empty_relation_is_antichain():
 
 
 def test_two_cycle_raises():
-    with pytest.raises(CycleError):
+    with pytest.raises(CycleError, match=r"^closure creates a cycle through 1$"):
         poset_from_relations(2, [(1, 2), (2, 1)])
 
 
 def test_long_cycle_raises():
-    with pytest.raises(CycleError):
+    with pytest.raises(CycleError, match=r"^closure creates a cycle through 1$"):
         poset_from_relations(4, [(1, 2), (2, 3), (3, 1)])
 
 
 def test_out_of_range_raises():
     with pytest.raises(RangeError):
         poset_from_relations(3, [(1, 4)])
+
+
+def test_pair_errors_come_in_pair_order():
+    for n, pairs, error, message in [
+            (3, [(1, 4)], RangeError, "relation (1, 4) outside 1..3"),
+            (3, [(0, 2), (2, 2)], RangeError, "relation (0, 2) outside 1..3"),
+            (3, [(1, 2), (2, 2), (5, 1)], CycleError, "reflexive pair (2, 2)"),
+            (3, [(2, 1), (1, 2), (3, 3)], CycleError, "reflexive pair (3, 3)"),
+            (0, [(1, 1)], RangeError, "relation (1, 1) outside 1..0")]:
+        with pytest.raises(error) as info:
+            poset_from_relations(n, pairs)
+        assert str(info.value) == message, pairs
+
+
+def closure_inputs():
+    """Seeded pair lists for the closure: natural and shuffled labels, in
+    shuffled order, with repeated and transitively redundant pairs; every
+    third has one or two implied pairs reversed, closing cycles, and up to
+    three pairs drawn in either direction, which may join cycles by paths."""
+    rng = random.Random(30)
+    yield 3, [(1, 2), (2, 3), (3, 2)]
+    yield 5, [(1, 2), (2, 4), (4, 3), (3, 5), (5, 4)]
+    for i in range(600):
+        n = rng.choice([rng.randint(1, 12), rng.randint(13, 90)])
+        prob = rng.choice([0.05, 0.2, rng.random()])
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1) if rng.random() < prob]
+        rows = reference_closure(n, pairs)
+        implied = [(a + 1, b + 1) for a, row in enumerate(rows) for b in range(n) if row >> b & 1]
+        pairs += rng.sample(pairs, len(pairs) // 3) + rng.sample(implied, len(implied) // 4)
+        if i % 3 == 2:
+            pairs += [(b, a) for a, b in rng.sample(implied, min(len(implied), rng.randint(1, 2)))]
+            pairs += [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(rng.randint(0, 3) if n > 1 else 0)]
+        if i % 2:
+            perm = rng.sample(range(1, n + 1), n)
+            pairs = [(perm[a - 1], perm[b - 1]) for a, b in pairs]
+        rng.shuffle(pairs)
+        yield n, pairs
+
+
+def test_closure_matches_warshall_reference():
+    # the up rows, the down rows as their transpose, and the cycle's least
+    # element, which may only reach the cycle through smaller ones
+    cycles = 0
+    for n, pairs in closure_inputs():
+        want = reference_closure(n, pairs)
+        if isinstance(want, int):
+            cycles += 1
+            with pytest.raises(CycleError) as info:
+                poset_from_relations(n, pairs)
+            assert str(info.value) == "closure creates a cycle through %d" % want, (n, pairs)
+            continue
+        P = poset_from_relations(n, pairs)
+        assert P.up == want, (n, pairs)
+        assert P.down == tuple(sum(1 << i for i in range(n) if want[i] >> j & 1) for j in range(n)), (n, pairs)
+    assert cycles >= 150
+    with pytest.raises(CycleError, match=r"^closure creates a cycle through 2$"):
+        poset_from_relations(3, [(1, 2), (2, 3), (3, 2)])
 
 
 def test_identity_permutation_gives_chain():
@@ -236,6 +293,21 @@ def test_poset_writer_emits_covers_only():
     text = format_poset(chain(4))
     relation_lines = [l for l in text.splitlines() if l.startswith("r")]
     assert relation_lines == ["r 1 2", "r 2 3", "r 3 4"]
+
+
+def test_cover_pairs_match_the_definition():
+    # b covers a iff a < b and no c has a < c < b, listed by a, then b
+    rng = random.Random(31)
+    posets = [P for n in range(6) for P in poset_classes(n)]
+    posets += [relabel(rng, P) for P in posets]
+    for _ in range(40):
+        n = rng.randint(1, 60)
+        P = random_poset(rng, n, rng.choice([0.05, 0.2, 0.5]))
+        posets += [P, relabel(rng, P), poset_from_permutation(Permutation(rng.sample(range(1, n + 1), n)))]
+    for P in posets:
+        want = [(a, b) for a in range(1, P.n + 1) for b in range(1, P.n + 1)
+                if P.less(a, b) and not P.up[a - 1] & P.down[b - 1]]
+        assert P.cover_pairs() == want, P
 
 
 def test_poset_parser_accepts_comments_and_errors():

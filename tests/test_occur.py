@@ -356,7 +356,7 @@ def test_counts_of_fewer_than_three_elements_match_the_rows():
     rng = random.Random(29)
     texts = [T for n in (40, 300, 2000) for T in
              (chain(n), antichain(n), poset_from_permutation(Permutation(rng.sample(range(1, n + 1), n))))]
-    texts += [random_poset(rng, n, 0.1) for n in (40, 300)]
+    texts += [random_poset(rng, n, 0.1) for n in (40, 300, 2000)]
     for Q in texts:
         n = Q.n
         r = sum(map(int.bit_count, Q.up))
